@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 
-class MissingTokenError(LookupError):
+class MissingTokenError(ValueError):
     """A class name needs a token the embedding file does not provide."""
 
-    def __init__(self, class_name: str, token: str):
+    def __init__(self, class_name: str, token: str, path):
         self.class_name = class_name
         self.token = token
-        super().__init__(f"class {class_name!r}: token {token!r} not in embedding file")
+        super().__init__(f"class {class_name!r}: token {token!r} not in {path}")
 
 
 def _name_tokens(name: str) -> list:
@@ -103,18 +103,28 @@ class AnchorTable:
     def matrix(self) -> np.ndarray:
         """All projected anchors, (C, D); recomputed so w_proj edits always
         show up immediately."""
-        anchors = self.embeddings.astype(self.w_proj.dtype) @ self.w_proj
+        return self._project()[0]
+
+    def backward(self, d_anchors: np.ndarray) -> np.ndarray:
+        """Gradient w.r.t. w_proj, given the gradient w.r.t. matrix()."""
+        anchors, norms = self._project()
         if self.normalize:
-            anchors = anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
-        return anchors
+            # h = u / |u| row-wise: du = (dh - h * sum(h * dh)) / |u|
+            d_anchors = (d_anchors - anchors * (anchors * d_anchors).sum(axis=1, keepdims=True)) / norms
+        return self.embeddings.astype(d_anchors.dtype).T @ d_anchors
+
+    def _project(self):
+        """(matrix(), row norms before normalization or None)."""
+        anchors = self.embeddings.astype(self.w_proj.dtype) @ self.w_proj
+        if not self.normalize:
+            return anchors, None
+        norms = np.linalg.norm(anchors, axis=1, keepdims=True)
+        return anchors / norms, norms
 
     def anchor(self, class_id: int) -> np.ndarray:
         if not 0 <= class_id < self.num_classes:
             raise IndexError(f"class id {class_id} out of range [0, {self.num_classes})")
         return self.matrix()[class_id]
-
-    def class_id(self, name: str) -> int:
-        return self.class_names.index(name)
 
     def add_class(self, name: str, embedding: np.ndarray) -> int:
         """Append a class; existing anchors are untouched (w_proj is shared
@@ -133,6 +143,26 @@ class AnchorTable:
         return self.num_classes - 1
 
 
+def class_vectors(path, names) -> np.ndarray:
+    """One embedding row per class name, (C, E), read from an embedding file.
+
+    Multi-token names ("night stand") average their token vectors. A token
+    the file lacks raises MissingTokenError.
+    """
+    names = list(names)
+    if not names:
+        raise ValueError("no class names")
+    token_lists = [_name_tokens(n) for n in names]
+    vectors, _ = read_embedding_file(path, {t for toks in token_lists for t in toks})
+    rows = []
+    for name, tokens in zip(names, token_lists):
+        for t in tokens:
+            if t not in vectors:
+                raise MissingTokenError(name, t, path)
+        rows.append(np.mean([vectors[t] for t in tokens], axis=0))
+    return np.asarray(rows, dtype=np.float64)
+
+
 def load_embeddings(
     path,
     names,
@@ -143,21 +173,13 @@ def load_embeddings(
 ) -> AnchorTable:
     """Build an AnchorTable for the given class names from an embedding file.
 
-    Multi-token names ("night stand") average their token vectors. When
-    feature_dim is None or equals the file dimension, the projection starts
-    as the identity; otherwise it starts uniform in +-sqrt(1/E).
+    Rows come from class_vectors(). When feature_dim is None or equals the
+    file dimension, the projection starts as the identity; otherwise it
+    starts uniform in +-sqrt(1/E).
     """
     names = list(names)
-    token_lists = [_name_tokens(n) for n in names]
-    wanted = {t for toks in token_lists for t in toks}
-    vectors, dim = read_embedding_file(path, wanted)
-    rows = []
-    for name, tokens in zip(names, token_lists):
-        for t in tokens:
-            if t not in vectors:
-                raise MissingTokenError(name, t)
-        rows.append(np.mean([vectors[t] for t in tokens], axis=0))
-    embeddings = np.asarray(rows, dtype=np.float64)
+    embeddings = class_vectors(path, names)
+    dim = embeddings.shape[1]
 
     if feature_dim is None or feature_dim == dim:
         w_proj = np.eye(dim, dtype=dtype)

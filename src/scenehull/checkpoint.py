@@ -83,11 +83,16 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"{path}: truncated array {entry['name']}")
             arrays[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
+    def array(name):
+        if name not in arrays:
+            raise ValueError(f"{path}: missing array {name}")
+        return arrays[name]
+
     layers = []
     for i in range(header["encoder"]["num_layers"]):
         layers.append(ConvLayer(
-            arrays[f"encoder.layers.{i}.weight"],
-            arrays[f"encoder.layers.{i}.bias"],
+            array(f"encoder.layers.{i}.weight"),
+            array(f"encoder.layers.{i}.bias"),
         ))
     encoder = SparseEncoder(layers, voxel_size=header["encoder"]["voxel_size"])
 
@@ -95,16 +100,16 @@ def load_checkpoint(path) -> Checkpoint:
     if header["bank"] is not None:
         # validation happened when the bank was created; load as-is
         bank = PrototypeBank(
-            arrays["bank.prototypes"],
-            arrays["bank.w_key"],
-            arrays["bank.w_query"],
+            array("bank.prototypes"),
+            array("bank.w_key"),
+            array("bank.w_query"),
             header["bank"]["inv_temperature"],
             require_overcomplete=False,
         )
     table = AnchorTable(
         header["anchors"]["class_names"],
-        arrays["anchors.embeddings"],
-        arrays["anchors.w_proj"],
+        array("anchors.embeddings"),
+        array("anchors.w_proj"),
         normalize=header["anchors"]["normalize"],
     )
     return Checkpoint(encoder=encoder, bank=bank, table=table, meta=header["meta"])

@@ -318,10 +318,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    import numpy as np
-
     from . import geometry
-    from .anchors import read_embedding_file
+    from .anchors import class_vectors
     from .checkpoint import load_checkpoint
     from .objective import infer_scene
 
@@ -337,18 +335,9 @@ def cmd_infer(args) -> int:
         if not args.embeddings:
             raise ConfigError("--extend-classes requires --embeddings")
         new_names = [n for n in args.extend_classes.split(",") if n]
-        from .anchors import _name_tokens
-        wanted = {t for n in new_names for t in _name_tokens(n)}
-        vectors, dim = read_embedding_file(args.embeddings, wanted)
-        if dim and dim != table.embedding_dim:
-            raise ConfigError(
-                f"embedding dim {dim} does not match checkpoint dim {table.embedding_dim}")
-        for name in new_names:
-            tokens = _name_tokens(name)
-            missing = [t for t in tokens if t not in vectors]
-            if missing:
-                raise ConfigError(f"class {name!r}: tokens {missing} not in {args.embeddings}")
-            table.add_class(name, np.mean([vectors[t] for t in tokens], axis=0))
+        # add_class rejects a vector whose dimension differs from the table's
+        for name, vector in zip(new_names, class_vectors(args.embeddings, new_names)):
+            table.add_class(name, vector)
 
     cloud = geometry.load_points(args.scene)
     probs = infer_scene(cloud, ckpt.encoder, ckpt.bank, table,
@@ -512,9 +501,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

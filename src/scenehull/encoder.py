@@ -10,13 +10,14 @@ in double precision.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PointCloud
 
-# Kernel offsets in lexicographic order; index() is stable, used by tests.
+# Kernel offsets in lexicographic order; weight[o] belongs to OFFSETS[o].
 OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 NUM_OFFSETS = len(OFFSETS)  # 27
 
@@ -39,11 +40,6 @@ class SparseFeatureGrid:
         return len(self.coords)
 
     @property
-    def index(self) -> dict:
-        """coord tuple -> row; built on demand."""
-        return {tuple(c): i for i, c in enumerate(self.coords)}
-
-    @property
     def neighbor_maps(self):
         """Per kernel offset, (rows_out, rows_in) with coords[rows_in] ==
         coords[rows_out] + offset. Rows are unique on both sides for a fixed
@@ -53,21 +49,26 @@ class SparseFeatureGrid:
         return self._neighbor_maps
 
 
-def _encode(coords: np.ndarray, lo: np.ndarray, dims: np.ndarray) -> np.ndarray:
-    return ((coords[:, 0] - lo[0]) * dims[1] + (coords[:, 1] - lo[1])) * dims[2] + (
-        coords[:, 2] - lo[2]
+def pack_keys(cells: np.ndarray, lo: np.ndarray, dims: np.ndarray) -> np.ndarray:
+    """One int64 key per (x, y, z) cell in the box lo + [0, dims), ordered
+    like the cells. Raises ValueError when the box has more cells than int64
+    can number: keys would wrap and merge distinct cells."""
+    if math.prod(int(d) for d in dims) > np.iinfo(np.int64).max:
+        raise ValueError(f"voxel extent {dims} does not fit an int64 key")
+    return ((cells[:, 0] - lo[0]) * dims[1] + (cells[:, 1] - lo[1])) * dims[2] + (
+        cells[:, 2] - lo[2]
     )
 
 
 def _build_neighbor_maps(coords: np.ndarray):
     lo = coords.min(axis=0) - 1
     dims = coords.max(axis=0) - lo + 2  # covers coords +/- 1 without key collisions
-    keys = _encode(coords, lo, dims)
+    keys = pack_keys(coords, lo, dims)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     maps = []
     for off in OFFSETS:
-        target = _encode(coords + off, lo, dims)
+        target = pack_keys(coords + off, lo, dims)
         pos = np.searchsorted(sorted_keys, target)
         pos = np.minimum(pos, len(sorted_keys) - 1)
         hit = sorted_keys[pos] == target
@@ -91,7 +92,7 @@ def voxelize(pc: PointCloud, voxel_size: float, dtype=np.float64) -> SparseFeatu
     cells = np.floor(pc.positions / voxel_size).astype(np.int64)
     lo = cells.min(axis=0)
     dims = cells.max(axis=0) - lo + 1
-    keys = _encode(cells, lo, dims)
+    keys = pack_keys(cells, lo, dims)
     unique_keys, inverse = np.unique(keys, return_inverse=True)
     coords = np.empty((len(unique_keys), 3), dtype=np.int64)
     coords[inverse] = cells
@@ -202,11 +203,14 @@ class SparseEncoder:
         self._cache = {"grid": grid, "inputs": inputs, "preacts": preacts}
         return feats
 
+    def voxelize(self, pc: PointCloud) -> SparseFeatureGrid:
+        """The grid this encoder reads: its voxel size, its parameter dtype."""
+        return voxelize(pc, self.voxel_size, dtype=self.layers[0].weight.dtype)
+
     def forward(self, pc: PointCloud) -> np.ndarray:
         """Voxelize, convolve, and give each point its voxel's feature."""
-        grid = voxelize(pc, self.voxel_size, dtype=self.layers[0].weight.dtype)
-        voxel_feats = self.forward_grid(grid)
-        return voxel_feats[grid.point_to_voxel]
+        grid = self.voxelize(pc)
+        return self.forward_grid(grid)[grid.point_to_voxel]
 
     def backward(self, upstream: np.ndarray) -> dict:
         """Exact parameter gradients for upstream per-point feature gradients.
@@ -238,7 +242,8 @@ class SparseEncoder:
                 if len(rows_out) == 0:
                     continue
                 d_weight[o] = inputs[i][rows_in].T @ grad[rows_out]
-                d_input[rows_in] += grad[rows_out] @ layer.weight[o].T
+                if i > 0:  # nothing reads layer 0's input gradient
+                    d_input[rows_in] += grad[rows_out] @ layer.weight[o].T
             grads[f"layers.{i}.weight"] = d_weight
             grads[f"layers.{i}.bias"] = grad.sum(axis=0)
             grad = d_input

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorTable
-from .encoder import SparseEncoder, voxelize
+from .encoder import (OFFSETS, ConvLayer, SparseEncoder, SparseFeatureGrid,
+                      sparse_conv_forward, voxelize)
 from .geometry import PointCloud
 from .hull import PrototypeBank
 from .objective import contrastive_loss
@@ -191,10 +192,25 @@ def check_end_to_end(seed: int) -> list:
     return results
 
 
-def check_dense_oracle(seed: int) -> CheckResult:
-    """Sparse conv forward against a dense reference on a small random grid."""
-    from .encoder import ConvLayer, sparse_conv_forward, OFFSETS, SparseFeatureGrid
+def dense_conv_reference(coords: np.ndarray, feats: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """Independent oracle for sparse_conv_forward(..., relu=False): put the
+    features in a zero-padded dense grid and convolve by explicit offset
+    loops (cross-correlation, weight[o] for OFFSETS[o])."""
+    cells = coords - coords.min(axis=0) + 1
+    dense = np.zeros((*(cells.max(axis=0) + 2), feats.shape[1]))
+    dense[tuple(cells.T)] = feats
+    out = np.zeros((len(coords), layer.bias.shape[0]))
+    for row, (x, y, z) in enumerate(cells):
+        acc = layer.bias.astype(np.float64).copy()
+        for o, (dx, dy, dz) in enumerate(OFFSETS):
+            acc = acc + dense[x + dx, y + dy, z + dz] @ layer.weight[o]
+        out[row] = acc
+    return out
 
+
+def check_dense_oracle(seed: int) -> CheckResult:
+    """Sparse conv forward against the dense reference on a small random
+    grid of up to 8^3 cells, placed anywhere (negative coordinates too)."""
     rng = np.random.default_rng(seed)
     c_in = int(rng.integers(1, 4))
     c_out = int(rng.integers(1, 4))
@@ -204,19 +220,10 @@ def check_dense_oracle(seed: int) -> CheckResult:
     coords = np.stack(np.unravel_index(flat, (extent, extent, extent)), axis=1).astype(np.int64)
     feats = rng.standard_normal((n_active, c_in))
     layer = ConvLayer(rng.standard_normal((27, c_in, c_out)), rng.standard_normal(c_out))
+    coords += rng.integers(-10, 10, size=3)
     grid = SparseFeatureGrid(coords, feats, np.arange(n_active))
     sparse = sparse_conv_forward(grid, layer, relu=False)
-
-    dense = np.zeros((extent + 2, extent + 2, extent + 2, c_in))
-    for row, (x, y, z) in enumerate(coords):
-        dense[x + 1, y + 1, z + 1] = feats[row]
-    reference = np.empty((n_active, c_out))
-    for row, (x, y, z) in enumerate(coords):
-        acc = layer.bias.astype(np.float64).copy()
-        for o, (dx, dy, dz) in enumerate(OFFSETS):
-            acc = acc + dense[x + 1 + dx, y + 1 + dy, z + 1 + dz] @ layer.weight[o]
-        reference[row] = acc
-    err = float(np.abs(sparse - reference).max())
+    err = float(np.abs(sparse - dense_conv_reference(coords, feats, layer)).max())
     return CheckResult("encoder.dense_oracle", err, err, err < 1e-9)
 
 

@@ -125,19 +125,22 @@ class PrototypeBank:
             return x, False
         raise ValueError("expected a (D,) vector or an (N, D) batch")
 
+    def _attention(self, batch: np.ndarray):
+        """(keys, queries, logits) for an (N, D) batch; the one place the
+        attention is computed."""
+        keys = batch @ self.w_key
+        queries = self.prototypes @ self.w_query
+        return keys, queries, self.inv_temperature * (keys @ queries.T)
+
     def logits(self, x: np.ndarray) -> np.ndarray:
         """lambda * (x W_key) . (p_k W_query) for every prototype."""
         batch, single = self._as_batch(x)
-        keys = batch @ self.w_key
-        queries = self.prototypes @ self.w_query
-        out = self.inv_temperature * (keys @ queries.T)
+        out = self._attention(batch)[2]
         return out[0] if single else out
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Simplex weights over prototypes: softmax of the attention logits."""
-        batch, single = self._as_batch(x)
-        a = softmax(self.logits(batch))
-        return a[0] if single else a
+        return softmax(self.logits(x))
 
     def project(self, x: np.ndarray, cache: bool = False, centered: bool = False) -> np.ndarray:
         """Convex combination of prototypes with coefficients(x) as weights.
@@ -149,9 +152,8 @@ class PrototypeBank:
         constant centroid term is dropped.
         """
         batch, single = self._as_batch(x)
-        keys = batch @ self.w_key
-        queries = self.prototypes @ self.w_query
-        coeffs = softmax(self.inv_temperature * (keys @ queries.T))
+        keys, queries, logits = self._attention(batch)
+        coeffs = softmax(logits)
         out = coeffs @ self.prototypes
         if centered:
             out -= self.prototypes.mean(axis=0)

@@ -108,35 +108,6 @@ def evaluate_salient(
     return report
 
 
-def evaluate_salient_per_scene(
-    probabilities_list,
-    gt_labels_list,
-    foreground_classes,
-    class_names: dict | None = None,
-) -> EvalReport:
-    """Per-scene AP averaged across scenes (alternative to pooling points)."""
-    if len(probabilities_list) != len(gt_labels_list) or not probabilities_list:
-        raise ValueError("need matching, nonempty lists of scenes")
-    per_class: dict = {int(c): [] for c in foreground_classes}
-    n_points = 0
-    for probs, gt in zip(probabilities_list, gt_labels_list):
-        gt = np.asarray(gt, dtype=np.int64)
-        n_points += len(gt)
-        for c in per_class:
-            if (gt == c).any():
-                per_class[c].append(average_precision(np.asarray(probs)[:, c], gt == c))
-    report = EvalReport(n_points=n_points, class_names=class_names)
-    for c, aps in per_class.items():
-        if aps:
-            report.per_class_ap[c] = float(np.mean(aps))
-        else:
-            report.skipped_classes.append(c)
-    if not report.per_class_ap:
-        raise ValueError("no foreground class present in any scene")
-    report.amap = float(np.mean(list(report.per_class_ap.values())))
-    return report
-
-
 def mean_iou(pred_labels, gt_labels, classes) -> tuple[dict, float]:
     """Intersection over union per class; mIoU over classes present in
     either prediction or ground truth."""

@@ -8,8 +8,9 @@ distribution per point. Background-labeled points never enter the loss.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +43,19 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.steps_per_epoch < 1:
             raise ValueError("steps_per_epoch must be >= 1")
-        if not self.lr >= 0.0:
-            raise ValueError("lr must be nonnegative")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError("lr must be finite and nonnegative")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.eps > 0.0:
+            raise ValueError("eps must be positive")
         if self.precision not in ("float64", "float32"):
             raise ValueError("precision must be float64 or float32")
 
     @property
     def dtype(self):
         return np.float64 if self.precision == "float64" else np.float32
-
-
-def _anchor_matrix_raw(table: AnchorTable) -> np.ndarray:
-    return table.embeddings.astype(table.w_proj.dtype) @ table.w_proj
 
 
 def contrastive_loss(feats: np.ndarray, labels: np.ndarray, table: AnchorTable):
@@ -72,13 +74,7 @@ def contrastive_loss(feats: np.ndarray, labels: np.ndarray, table: AnchorTable):
         bad = int(labels[(labels < 0) | (labels >= table.num_classes)][0])
         raise ValueError(f"label {bad} has no anchor")
 
-    raw = _anchor_matrix_raw(table)  # (C, D) before optional normalization
-    if table.normalize:
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        anchors = raw / norms
-    else:
-        anchors = raw
-
+    anchors = table.matrix()
     logits = feats @ anchors.T
     probs = softmax(logits)
     n = len(feats)
@@ -92,13 +88,7 @@ def contrastive_loss(feats: np.ndarray, labels: np.ndarray, table: AnchorTable):
     d_logits[idx, labels] -= 1.0
     d_logits /= n
     d_feats = d_logits @ anchors
-    d_anchors = d_logits.T @ feats
-    if table.normalize:
-        # h = u / |u| row-wise: du = (dh - h * sum(h * dh)) / |u|
-        d_raw = (d_anchors - anchors * (anchors * d_anchors).sum(axis=1, keepdims=True)) / norms
-    else:
-        d_raw = d_anchors
-    d_w_proj = table.embeddings.astype(d_raw.dtype).T @ d_raw
+    d_w_proj = table.backward(d_logits.T @ feats)
     return loss, d_feats, d_w_proj
 
 
@@ -297,13 +287,15 @@ def infer_scene(
     table: AnchorTable,
     temperature: float = 1.0,
 ) -> np.ndarray:
-    """Per-point class distributions for an unlabeled scene, (N, C)."""
+    """Per-point class distributions for an unlabeled scene, (N, C). Points
+    in a voxel share its feature, so each reads its voxel's row."""
     if bank is not None and bank.feature_dim != encoder.feature_dim:
         raise ValueError("bank feature dim does not match encoder output")
     if table.feature_dim != encoder.feature_dim:
         raise ValueError("anchor projection does not match encoder output")
-    feats = encoder.forward(cloud)
+    grid = encoder.voxelize(cloud)
+    feats = encoder.forward_grid(grid)
     # centered readout: the prototype centroid is a constant that training
     # uses as a class bias; see hull.py
     projected = bank.project(feats, centered=True) if bank is not None else feats
-    return class_probs(projected, table, temperature=temperature)
+    return class_probs(projected, table, temperature=temperature)[grid.point_to_voxel]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .encoder import pack_keys
 from .geometry import PointCloud, rotate_z, scale, translate
 
 BACKGROUND_LABEL = -1
@@ -112,8 +113,8 @@ def _overlap_masks(a: np.ndarray, b: np.ndarray, voxel: float):
     cells_b = np.floor(b / voxel).astype(np.int64)
     lo = np.minimum(cells_a.min(axis=0), cells_b.min(axis=0))
     dims = np.maximum(cells_a.max(axis=0), cells_b.max(axis=0)) - lo + 1
-    keys_a = ((cells_a[:, 0] - lo[0]) * dims[1] + (cells_a[:, 1] - lo[1])) * dims[2] + (cells_a[:, 2] - lo[2])
-    keys_b = ((cells_b[:, 0] - lo[0]) * dims[1] + (cells_b[:, 1] - lo[1])) * dims[2] + (cells_b[:, 2] - lo[2])
+    keys_a = pack_keys(cells_a, lo, dims)
+    keys_b = pack_keys(cells_b, lo, dims)
     return np.isin(keys_a, keys_b), np.isin(keys_b, keys_a)
 
 

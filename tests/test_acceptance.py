@@ -12,15 +12,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_encoder import dense_conv_reference
 from test_metrics import ap_naive_tie_groups, iou_confusion_oracle
 
 from scenehull import geometry, toydata
 from scenehull.anchors import AnchorTable, read_embedding_file
 from scenehull.checkpoint import load_checkpoint
 from scenehull.cli import main as cli_main
-from scenehull.encoder import ConvLayer, SparseEncoder, SparseFeatureGrid, sparse_conv_forward
-from scenehull.gradcheck import check_dcr, check_encoder, check_end_to_end, check_loss
+from scenehull.encoder import SparseEncoder
+from scenehull.gradcheck import (
+    check_dcr,
+    check_dense_oracle,
+    check_encoder,
+    check_end_to_end,
+    check_loss,
+)
 from scenehull.hull import PrototypeBank, coefficient_entropy
 from scenehull.metrics import average_precision, evaluate_salient, mean_iou
 from scenehull.objective import (
@@ -167,21 +172,7 @@ def test_criterion_2_gradient_suite():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_sparse_conv_oracle():
-    rng = np.random.default_rng(33)
-    worst = 0.0
-    for _ in range(100):
-        extent = int(rng.integers(2, 9))
-        n = int(rng.integers(1, min(extent ** 3, 80) + 1))
-        flat = rng.choice(extent ** 3, size=n, replace=False)
-        coords = np.stack(np.unravel_index(flat, (extent,) * 3), axis=1).astype(np.int64)
-        coords += rng.integers(-5, 5, size=3)
-        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        feats = rng.normal(size=(n, c_in))
-        layer = ConvLayer(rng.normal(size=(27, c_in, c_out)), rng.normal(size=c_out))
-        grid = SparseFeatureGrid(coords, feats, np.arange(n))
-        got = sparse_conv_forward(grid, layer, relu=False)
-        want = dense_conv_reference(coords, feats, layer)
-        worst = max(worst, float(np.abs(got - want).max()))
+    worst = max(check_dense_oracle(seed).max_abs_err for seed in range(100))
     ok = worst < 1e-9
     _report(3, ok, f"100 random grids <= 8^3: max |sparse - dense| = {worst:.2e}")
     assert worst < 1e-9

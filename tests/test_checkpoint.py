@@ -1,5 +1,7 @@
 """Checkpoint container: bit-exact round trips, version guard."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -90,4 +92,25 @@ class TestGuards:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_missing_array_named(self, tmp_path):
+        # drop bank.w_key from both the header's directory and the payload
+        encoder, bank, table = make_state(seed=8)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+        with open(path, "rb") as fh:
+            magic = fh.readline()
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        kept, offset, parts = [], 0, []
+        for entry in header["arrays"]:
+            size = int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+            if entry["name"] != "bank.w_key":
+                kept.append(entry)
+                parts.append(payload[offset:offset + size])
+            offset += size
+        header["arrays"] = kept
+        path.write_bytes(magic + json.dumps(header).encode() + b"\n" + b"".join(parts))
+        with pytest.raises(ValueError, match="missing array bank.w_key"):
             load_checkpoint(path)

@@ -115,6 +115,31 @@ class TestTrain:
             np.testing.assert_array_equal(a.weight, b.weight)
             np.testing.assert_array_equal(a.bias, b.bias)
 
+    def test_missing_class_token_config_error(self, toy_dir, trained_run, tmp_path, capsys):
+        classes = tmp_path / "classes.txt"
+        classes.write_text((toy_dir / "classes.txt").read_text() + "bookshelf\n")
+        cfg = json.loads((toy_dir / "quick_train.json").read_text())
+        cfg.update({"manifest": str(toy_dir / "manifest.json"), "classes": str(classes),
+                    "embeddings": str(toy_dir / "embeddings.txt")})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'bookshelf'" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("inf")), ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0)])
+    def test_bad_optimizer_setting_config_error(self, toy_dir, trained_run, tmp_path, capsys,
+                                                field, value):
+        # one step: the bad setting would write a non-finite checkpoint
+        cfg = json.loads((toy_dir / "quick_train.json").read_text())
+        cfg.update({field: value, "epochs": 1, "steps_per_epoch": 1})
+        path = toy_dir / f"bad_{field}.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
+        assert f"config error: train config: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_unknown_config_key_rejected(self, toy_dir, tmp_path):
         cfg = json.loads((toy_dir / "train_config.json").read_text())
         cfg["mystery"] = True
@@ -177,6 +202,22 @@ class TestInferEval:
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
         names = (tmp_path / "ext.classes.txt").read_text().split()
         assert names[-1] == "ovoid"
+
+
+    def test_checkpoint_missing_array_config_error(self, toy_dir, trained_run, tmp_path, capsys):
+        with open(trained_run / "checkpoint.bin", "rb") as fh:
+            magic = fh.readline()
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        last = header["arrays"].pop()  # anchors.w_proj, the last payload block
+        size = int(np.prod(last["shape"])) * np.dtype(last["dtype"]).itemsize
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload[:-size])
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0 0 0\n0.1 0 0\n")
+        code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
+        assert code == 2
+        assert f"missing array {last['name']}" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -8,7 +8,6 @@ import pytest
 from scenehull.metrics import (
     average_precision,
     evaluate_salient,
-    evaluate_salient_per_scene,
     mean_iou,
 )
 
@@ -150,19 +149,6 @@ class TestEvaluateSalient:
     def test_missing_column_rejected(self):
         with pytest.raises(ValueError):
             evaluate_salient(np.ones((2, 2)), np.array([0, 1]), [5])
-
-    def test_per_scene_mode(self):
-        rng = np.random.default_rng(5)
-        scenes_p, scenes_gt = [], []
-        for _ in range(3):
-            gt = rng.integers(0, 2, 30)
-            scenes_gt.append(gt)
-            scenes_p.append(rng.dirichlet(np.ones(2), size=30))
-        report = evaluate_salient_per_scene(scenes_p, scenes_gt, [0, 1])
-        expected_c0 = np.mean([
-            average_precision(p[:, 0], gt == 0) for p, gt in zip(scenes_p, scenes_gt)
-        ])
-        assert report.per_class_ap[0] == pytest.approx(expected_c0)
 
 
 def iou_confusion_oracle(pred, gt, classes):

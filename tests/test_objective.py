@@ -161,6 +161,21 @@ class TestAdam:
         assert abs(x[0]) < 0.1
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lr", math.inf), ("lr", math.nan), ("lr", -1e-3),
+        ("beta1", 1.0), ("beta1", -0.1), ("beta1", math.nan),
+        ("beta2", 1.0), ("beta2", 1.5), ("beta2", -0.1),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", math.nan),
+    ])
+    def test_bad_optimizer_setting_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_edge_settings_accepted(self):
+        TrainConfig(lr=0.0, beta1=0.0, beta2=0.0, eps=1e-300)
+
+
 def toy_models(points=96):
     clouds = {}
     for i, name in enumerate(toydata.TOY_CLASSES[:3]):
@@ -300,6 +315,19 @@ class TestInferScene:
         before = infer_scene(cloud, encoder, bank, table)
         bank.prototypes += np.random.default_rng(13).normal(size=bank.feature_dim)
         np.testing.assert_allclose(infer_scene(cloud, encoder, bank, table), before, atol=1e-10)
+
+    def test_voxel_readout_equals_point_readout(self):
+        # infer_scene reads the hull and the anchors once per voxel; that must
+        # equal reading them once per point, bit for bit
+        models, table, encoder, bank = self.trained_pieces()
+        cloud = PointCloud(np.random.default_rng(14).uniform(0, 0.3, size=(500, 3)))
+        assert encoder.voxelize(cloud).num_voxels < len(cloud) / 2
+        feats = encoder.forward(cloud)
+        np.testing.assert_array_equal(
+            infer_scene(cloud, encoder, bank, table),
+            class_probs(bank.project(feats, centered=True), table))
+        np.testing.assert_array_equal(infer_scene(cloud, encoder, None, table),
+                                      class_probs(feats, table))
 
     def test_no_labels_consumed(self):
         models, table, encoder, bank = self.trained_pieces()
