@@ -65,16 +65,29 @@ def save_checkpoint(path, encoder: SparseEncoder, bank: PrototypeBank | None,
             fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
+def _field(path, section, key: str, where: str = ""):
+    """section[key], or ValueError naming the header key that is missing."""
+    if not isinstance(section, dict) or key not in section:
+        raise ValueError(f"{path}: checkpoint header lacks {where}{key}")
+    return section[key]
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a scenehull checkpoint")
         header = json.loads(fh.readline().decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format") != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint format {header.get('format')}")
+        for key in ("encoder", "bank", "anchors", "meta", "arrays"):
+            _field(path, header, key)
         arrays = {}
-        for entry in header["arrays"]:
+        for i, entry in enumerate(header["arrays"]):
+            for key in ("name", "dtype", "shape"):
+                _field(path, entry, key, f"arrays[{i}].")
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
@@ -88,13 +101,15 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"{path}: missing array {name}")
         return arrays[name]
 
+    num_layers = _field(path, header["encoder"], "num_layers", "encoder.")
+    voxel_size = _field(path, header["encoder"], "voxel_size", "encoder.")
     layers = []
-    for i in range(header["encoder"]["num_layers"]):
+    for i in range(num_layers):
         layers.append(ConvLayer(
             array(f"encoder.layers.{i}.weight"),
             array(f"encoder.layers.{i}.bias"),
         ))
-    encoder = SparseEncoder(layers, voxel_size=header["encoder"]["voxel_size"])
+    encoder = SparseEncoder(layers, voxel_size=voxel_size)
 
     bank = None
     if header["bank"] is not None:
@@ -103,13 +118,13 @@ def load_checkpoint(path) -> Checkpoint:
             array("bank.prototypes"),
             array("bank.w_key"),
             array("bank.w_query"),
-            header["bank"]["inv_temperature"],
+            _field(path, header["bank"], "inv_temperature", "bank."),
             require_overcomplete=False,
         )
     table = AnchorTable(
-        header["anchors"]["class_names"],
+        _field(path, header["anchors"], "class_names", "anchors."),
         array("anchors.embeddings"),
         array("anchors.w_proj"),
-        normalize=header["anchors"]["normalize"],
+        normalize=_field(path, header["anchors"], "normalize", "anchors."),
     )
     return Checkpoint(encoder=encoder, bank=bank, table=table, meta=header["meta"])

@@ -157,9 +157,38 @@ _TRAIN_DEFAULTS = {
 }
 
 
+_TRAIN_INTS = ("seed", "epochs", "steps_per_epoch", "prototypes", "attention_dim",
+               "points_per_model")
+_TRAIN_FLOATS = ("lr", "beta1", "beta2", "eps", "voxel_size", "inv_temperature",
+                 "inference_temperature")
+_TRAIN_BOOLS = ("use_dcr", "normalize_anchors")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_train_types(data: dict) -> None:
+    for key in _TRAIN_INTS:
+        if key in data and not _is_int(data[key]):
+            raise ConfigError(f"train config: {key} must be an integer, got {data[key]!r}")
+    for key in _TRAIN_FLOATS:
+        if key in data and not (_is_int(data[key]) or isinstance(data[key], float)):
+            raise ConfigError(f"train config: {key} must be a number, got {data[key]!r}")
+    for key in _TRAIN_BOOLS:
+        if key in data and not isinstance(data[key], bool):
+            raise ConfigError(f"train config: {key} must be true or false, got {data[key]!r}")
+    widths = data.get("encoder_widths", [])
+    if not isinstance(widths, list) or not all(_is_int(w) for w in widths):
+        raise ConfigError(f"train config: encoder_widths must be a list of integers, "
+                          f"got {widths!r}")
+
+
 def load_train_config(path):
     data = _load_json(path, "train config")
     _require_keys(data, _TRAIN_REQUIRED, _TRAIN_OPTIONAL, "train config")
+    _check_train_types(data)
     resolved = dict(_TRAIN_DEFAULTS)
     resolved.update(data)
     resolved["_base"] = str(Path(path).resolve().parent)
@@ -342,9 +371,9 @@ def cmd_infer(args) -> int:
     cloud = geometry.load_points(args.scene)
     probs = infer_scene(cloud, ckpt.encoder, ckpt.bank, table,
                         temperature=args.temperature)
+    fmt = " ".join(["%.17g"] * probs.shape[1]) + "\n"
     with open(args.out, "w", encoding="utf-8") as fh:
-        for row in probs:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(fmt % row for row in zip(*probs.T.tolist()))
     classes_path = Path(args.out).with_suffix(".classes.txt")
     with open(classes_path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{name}\n" for name in table.class_names))

@@ -242,12 +242,13 @@ def save_points(path, pc: PointCloud, include_labels: bool | None = None) -> Non
         include_labels = pc.labels is not None
     if include_labels and pc.labels is None:
         raise ValueError("cloud has no labels to write")
+    columns = pc.positions.T.tolist()
+    fmt = "%.17g %.17g %.17g\n"
+    if include_labels:
+        columns.append(pc.labels.tolist())
+        fmt = "%.17g %.17g %.17g %d\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for i, p in enumerate(pc.positions):
-            if include_labels:
-                fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {pc.labels[i]}\n")
-            else:
-                fh.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        fh.writelines(fmt % row for row in zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,15 @@ def poisson_disk_sample(
     Oversamples ``oversample * n`` area-weighted points, weights each by
     sum over neighbors within 2*r of (1 - d/(2r))**weight_exponent with
     r = sqrt(area / (2*sqrt(3)*n)), then greedily removes the heaviest
-    point (updating its neighbors) until n remain.
+    point (lowest index on ties) and subtracts its pair weights from its
+    neighbors, until n remain (Yuksel, Eurographics 2015).
+
+    The heap holds one entry per live point, keyed by a weight that may be
+    out of date. Weights only fall, so that key is always an upper bound on
+    the point's current weight. An entry popped with an out-of-date key is
+    pushed back once with the current weight; an entry popped with a current
+    key is then the heaviest live point (lowest index on ties), exactly as if
+    every update had been pushed. Removed points have no entry.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -322,38 +331,32 @@ def poisson_disk_sample(
 
     radius = 2.0 * poisson_radius(surface_area(mesh), n)
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-    if len(pairs):
-        dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
-        pair_w = (1.0 - dist / radius) ** weight_exponent
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        wgt = np.concatenate([pair_w, pair_w])
-        order = np.argsort(src, kind="stable")
-        src, dst, wgt = src[order], dst[order], wgt[order]
-        indptr = np.searchsorted(src, np.arange(m + 1))
-        weight = np.bincount(src, weights=wgt, minlength=m)
-    else:
-        dst = np.empty(0, dtype=np.int64)
-        wgt = np.empty(0, dtype=np.float64)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        weight = np.zeros(m, dtype=np.float64)
+    dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
+    pair_w = (1.0 - dist / radius) ** weight_exponent
+    # neighbor rows in CSR form; each row lists a neighbor once
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    wgt = np.concatenate([pair_w, pair_w])
+    order = np.argsort(src, kind="stable")
+    src, dst, wgt = src[order], dst[order], wgt[order]
+    bounds = np.searchsorted(src, np.arange(m + 1)).tolist()
+    # bincount of no pairs is int64; the in-place subtraction needs floats
+    weight = np.bincount(src, weights=wgt, minlength=m).astype(np.float64)
 
-    alive = np.ones(m, dtype=bool)
-    heap = [(-weight[i], i) for i in range(m)]
+    heap = [(-w, i) for i, w in enumerate(weight.tolist())]
     heapq.heapify(heap)
+    alive = np.ones(m, dtype=bool)
     remaining = m
     while remaining > n:
-        w_neg, i = heapq.heappop(heap)
-        # Stale heap entries carry an outdated weight; skip them.
-        if not alive[i] or -w_neg != weight[i]:
+        key, i = heapq.heappop(heap)
+        w = weight.item(i)
+        if -key != w:
+            heapq.heappush(heap, (-w, i))
             continue
         alive[i] = False
         remaining -= 1
-        for k in range(indptr[i], indptr[i + 1]):
-            j = dst[k]
-            if alive[j]:
-                weight[j] -= wgt[k]
-                heapq.heappush(heap, (-weight[j], j))
+        lo, hi = bounds[i], bounds[i + 1]
+        weight[dst[lo:hi]] -= wgt[lo:hi]
     return PointCloud(points[alive])
 
 

@@ -1,6 +1,7 @@
 """Checkpoint container: bit-exact round trips, version guard."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -113,4 +114,28 @@ class TestGuards:
         header["arrays"] = kept
         path.write_bytes(magic + json.dumps(header).encode() + b"\n" + b"".join(parts))
         with pytest.raises(ValueError, match="missing array bank.w_key"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", [
+        "encoder", "bank", "anchors", "meta", "arrays",
+        "encoder.num_layers", "encoder.voxel_size", "bank.inv_temperature",
+        "anchors.class_names", "anchors.normalize",
+        "arrays[0].name", "arrays[0].dtype", "arrays[0].shape"])
+    def test_missing_header_key_named(self, tmp_path, key):
+        encoder, bank, table = make_state(seed=9)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+        with open(path, "rb") as fh:
+            magic = fh.readline()
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        section, _, leaf = key.rpartition(".")
+        if section == "arrays[0]":
+            del header["arrays"][0][leaf]
+        elif section:
+            del header[section][leaf]
+        else:
+            del header[leaf]
+        path.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint header lacks {key}")):
             load_checkpoint(path)

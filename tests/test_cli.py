@@ -140,6 +140,19 @@ class TestTrain:
         assert f"config error: train config: {field}" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", "abc"), ("epochs", "2"), ("steps_per_epoch", True),
+        ("encoder_widths", [32, "64"]), ("use_dcr", "false")])
+    def test_wrong_json_type_config_error(self, toy_dir, trained_run, tmp_path, capsys,
+                                          field, value):
+        cfg = json.loads((toy_dir / "quick_train.json").read_text())
+        cfg[field] = value
+        path = toy_dir / f"type_{field}.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
+        assert f"config error: train config: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_config_key_rejected(self, toy_dir, tmp_path):
         cfg = json.loads((toy_dir / "train_config.json").read_text())
         cfg["mystery"] = True
@@ -218,6 +231,40 @@ class TestInferEval:
         code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
         assert code == 2
         assert f"missing array {last['name']}" in capsys.readouterr().err
+
+
+    def test_checkpoint_missing_header_key_config_error(self, trained_run, tmp_path, capsys):
+        with open(trained_run / "checkpoint.bin", "rb") as fh:
+            magic = fh.readline()
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        del header["encoder"]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload)
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0 0 0\n0.1 0 0\n")
+        code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
+        assert code == 2
+        assert "checkpoint header lacks encoder" in capsys.readouterr().err
+
+    def test_probability_file_bytes_match_per_row_formatting(self, toy_dir, trained_run,
+                                                            tmp_path):
+        from scenehull.checkpoint import load_checkpoint
+        from scenehull.geometry import load_points
+        from scenehull.objective import infer_scene
+
+        scenes = tmp_path / "scenes"
+        assert run_cli(["simulate", "--manifest", toy_dir / "manifest.json",
+                        "--seed", 3, "-o", scenes]) == 0
+        probs_path = tmp_path / "probs.txt"
+        assert run_cli(["infer", "--checkpoint", trained_run / "checkpoint.bin",
+                        "--scene", scenes / "scene_000.txt", "--temperature", 0.01,
+                        "-o", probs_path]) == 0
+        ckpt = load_checkpoint(trained_run / "checkpoint.bin")
+        probs = infer_scene(load_points(scenes / "scene_000.txt"), ckpt.encoder,
+                            ckpt.bank, ckpt.table, temperature=0.01)
+        expected = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in probs)
+        assert probs_path.read_text() == expected
 
 
 class TestGradcheckCommand:

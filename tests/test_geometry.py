@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from scenehull import geometry
 from scenehull.geometry import (
@@ -160,7 +161,80 @@ class TestAreaWeightedSample:
             area_weighted_sample(mesh, 5, np.random.default_rng(0))
 
 
+def scattered_triangles(count, side=0.01, spacing=10.0):
+    """count small right triangles, far apart along x."""
+    corner = np.array([[0.0, 0.0, 0.0], [side, 0.0, 0.0], [0.0, side, 0.0]])
+    verts = np.concatenate([corner + [k * spacing, 0.0, 0.0] for k in range(count)])
+    return TriangleMesh(verts, np.arange(3 * count).reshape(count, 3))
+
+
+def greedy_elimination(mesh, n, seed, oversample=4, weight_exponent=8.0):
+    """Brute-force sample elimination: (kept points, initial weights, pairs).
+
+    Draws the candidates and their neighbor pairs as poisson_disk_sample
+    does, then removes the live point of largest current weight (lowest
+    index on ties) by a full scan, subtracting its pair weights from its
+    live neighbors.
+    """
+    m = oversample * n
+    points = area_weighted_sample(mesh, m, np.random.default_rng(seed)).positions
+    radius = 2.0 * poisson_radius(surface_area(mesh), n)
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
+    pair_w = ((1.0 - dist / radius) ** weight_exponent).tolist()
+    # a point's neighbors in the order its weight is summed: first the pairs
+    # it leads, then the pairs it closes
+    rows = [[] for _ in range(m)]
+    for (a, b), w in zip(pairs.tolist(), pair_w):
+        rows[a].append((b, w))
+    for (a, b), w in zip(pairs.tolist(), pair_w):
+        rows[b].append((a, w))
+    weight = [0.0] * m
+    for i, row in enumerate(rows):
+        for _, w in row:
+            weight[i] += w
+    initial = list(weight)
+    alive = [True] * m
+    for _ in range(m - n):
+        i = max((k for k in range(m) if alive[k]), key=lambda k: (weight[k], -k))
+        alive[i] = False
+        for j, w in rows[i]:
+            if alive[j]:
+                weight[j] -= w
+    return points[np.array(alive)], initial, pairs
+
+
 class TestPoissonDisk:
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_greedy_reference_on_icosphere(self, n, seed):
+        mesh = icosphere(3, radius=1.0)
+        expected, _, _ = greedy_elimination(mesh, n, seed)
+        pc = poisson_disk_sample(mesh, n, np.random.default_rng(seed))
+        assert pc.positions.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [7, 20, 40])
+    def test_matches_greedy_reference_with_ties(self, n):
+        # lone samples on a triangle weigh exactly 0; pairs alone tie too
+        mesh = scattered_triangles(200)
+        for seed in range(3):
+            expected, initial, _ = greedy_elimination(mesh, n, seed)
+            assert initial.count(0.0) >= 2
+            pc = poisson_disk_sample(mesh, n, np.random.default_rng(seed))
+            assert pc.positions.tobytes() == expected.tobytes()
+
+    def test_no_pairs_keeps_the_last_candidates(self):
+        # every candidate on its own triangle: all weights 0, lowest index
+        # goes first
+        mesh = scattered_triangles(400)
+        n = 2
+        expected, initial, pairs = greedy_elimination(mesh, n, seed=5)
+        assert len(pairs) == 0 and initial == [0.0] * (4 * n)
+        candidates = area_weighted_sample(mesh, 4 * n, np.random.default_rng(5))
+        pc = poisson_disk_sample(mesh, n, np.random.default_rng(5))
+        assert pc.positions.tobytes() == expected.tobytes()
+        assert pc.positions.tobytes() == candidates.positions[-n:].tobytes()
+
     def test_single_point(self):
         pc = poisson_disk_sample(unit_square_mesh(), 1, np.random.default_rng(0))
         assert len(pc) == 1
@@ -267,6 +341,23 @@ class TestPointCloudType:
         back = load_points(path)
         np.testing.assert_array_equal(back.positions, pc.positions)
         np.testing.assert_array_equal(back.labels, pc.labels)
+
+    def test_point_file_bytes_match_per_row_formatting(self, tmp_path):
+        # -0.0, subnormals, 1e16 (the last integer printed without exponent)
+        # and negative labels
+        positions = np.array([[-0.0, 5e-324, 2.2250738585072014e-308 / 3],
+                              [1e16, -1e16, 1e17],
+                              [0.1, 1.0 / 3.0, -123.456]])
+        pc = PointCloud(positions, labels=[-1, 0, -7])
+        labeled, plain = tmp_path / "l.txt", tmp_path / "p.txt"
+        save_points(labeled, pc)
+        save_points(plain, pc, include_labels=False)
+        rows = [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in pc.positions]
+        assert labeled.read_text() == "".join(
+            f"{row} {lab}\n" for row, lab in zip(rows, pc.labels))
+        assert plain.read_text() == "".join(f"{row}\n" for row in rows)
+        assert labeled.read_text().splitlines()[0] == "-0 4.9406564584124654e-324 " \
+                                                      "7.4169128616906696e-309 -1"
 
     def test_point_file_without_labels(self, tmp_path):
         pc = PointCloud(np.array([[0.5, 1.25, -3.0]]))
