@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorTable
-from .encoder import ConvLayer, SparseEncoder
+from .cli import (_BOOL, _INT, _NUMBER, _OBJECT, _OBJECT_LIST, _STRING, _STRING_LIST,
+                  _check_types)
+from .encoder import NUM_OFFSETS, ConvLayer, SparseEncoder
 from .hull import PrototypeBank
 
 MAGIC = b"SCENEHULL-CKPT\n"
@@ -65,11 +67,38 @@ def save_checkpoint(path, encoder: SparseEncoder, bank: PrototypeBank | None,
             fh.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
-def _field(path, section, key: str, where: str = ""):
-    """section[key], or ValueError naming the header key that is missing."""
-    if not isinstance(section, dict) or key not in section:
-        raise ValueError(f"{path}: checkpoint header lacks {where}{key}")
-    return section[key]
+def _is_float_dtype(value) -> bool:
+    try:
+        return isinstance(value, str) and np.dtype(value).kind == "f"
+    except TypeError:  # not a dtype numpy knows
+        return False
+
+
+_SHAPE = (lambda v: isinstance(v, list) and all(_INT[0](n) and n >= 0 for n in v),
+          "a list of non-negative integers")
+_HEADER_TYPES = {
+    "encoder": _OBJECT,
+    "bank": ((lambda v: v is None or isinstance(v, dict)), "an object or null"),
+    "anchors": _OBJECT,
+    "meta": _OBJECT,
+    "arrays": _OBJECT_LIST,
+}
+_SECTION_TYPES = {
+    "encoder": {"num_layers": _INT, "voxel_size": _NUMBER},
+    "bank": {"inv_temperature": _NUMBER},
+    "anchors": {"class_names": _STRING_LIST, "normalize": _BOOL},
+}
+_ARRAY_ENTRY_TYPES = {"name": _STRING, "shape": _SHAPE,
+                      "dtype": (_is_float_dtype, "a float dtype such as '<f8'")}
+
+
+def _check_header(path, section, types: dict, name: str = "") -> None:
+    """ValueError naming the first header key of types that section lacks,
+    or whose value is not of its JSON type; name is the section's key."""
+    for key in types:
+        if not isinstance(section, dict) or key not in section:
+            raise ValueError(f"{path}: checkpoint header lacks {name}{'.' if name else ''}{key}")
+    _check_types(section, types, f"{path}: checkpoint header {name}".rstrip())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -82,12 +111,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format") != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint format {header.get('format')}")
-        for key in ("encoder", "bank", "anchors", "meta", "arrays"):
-            _field(path, header, key)
+        _check_header(path, header, _HEADER_TYPES)
+        for section, types in _SECTION_TYPES.items():
+            if header[section] is not None:
+                _check_header(path, header[section], types, section)
         arrays = {}
         for i, entry in enumerate(header["arrays"]):
-            for key in ("name", "dtype", "shape"):
-                _field(path, entry, key, f"arrays[{i}].")
+            _check_header(path, entry, _ARRAY_ENTRY_TYPES, f"arrays[{i}]")
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1
@@ -96,35 +126,42 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"{path}: truncated array {entry['name']}")
             arrays[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
-    def array(name):
+    def array(name, *dims):
+        """arrays[name], whose shape must be dims (None: any length)."""
         if name not in arrays:
             raise ValueError(f"{path}: missing array {name}")
+        shape = arrays[name].shape
+        if len(shape) != len(dims) or any(d not in (None, n) for d, n in zip(dims, shape)):
+            want = ", ".join("*" if d is None else str(d) for d in dims)
+            raise ValueError(f"{path}: array {name} has shape {shape}, expected ({want})")
         return arrays[name]
 
-    num_layers = _field(path, header["encoder"], "num_layers", "encoder.")
-    voxel_size = _field(path, header["encoder"], "voxel_size", "encoder.")
     layers = []
-    for i in range(num_layers):
-        layers.append(ConvLayer(
-            array(f"encoder.layers.{i}.weight"),
-            array(f"encoder.layers.{i}.bias"),
-        ))
-    encoder = SparseEncoder(layers, voxel_size=voxel_size)
+    width = None  # each layer reads the previous layer's output width
+    for i in range(header["encoder"]["num_layers"]):
+        weight = array(f"encoder.layers.{i}.weight", NUM_OFFSETS, width, None)
+        width = weight.shape[2]
+        layers.append(ConvLayer(weight, array(f"encoder.layers.{i}.bias", width)))
+    encoder = SparseEncoder(layers, voxel_size=header["encoder"]["voxel_size"])
+    dim = encoder.feature_dim
 
     bank = None
     if header["bank"] is not None:
+        w_key = array("bank.w_key", dim, None)
         # validation happened when the bank was created; load as-is
         bank = PrototypeBank(
-            array("bank.prototypes"),
-            array("bank.w_key"),
-            array("bank.w_query"),
-            _field(path, header["bank"], "inv_temperature", "bank."),
+            array("bank.prototypes", None, dim),
+            w_key,
+            array("bank.w_query", *w_key.shape),
+            header["bank"]["inv_temperature"],
             require_overcomplete=False,
         )
+    class_names = header["anchors"]["class_names"]
+    embeddings = array("anchors.embeddings", len(class_names), None)
     table = AnchorTable(
-        _field(path, header["anchors"], "class_names", "anchors."),
-        array("anchors.embeddings"),
-        array("anchors.w_proj"),
-        normalize=_field(path, header["anchors"], "normalize", "anchors."),
+        class_names,
+        embeddings,
+        array("anchors.w_proj", embeddings.shape[1], dim),
+        normalize=header["anchors"]["normalize"],
     )
     return Checkpoint(encoder=encoder, bank=bank, table=table, meta=header["meta"])

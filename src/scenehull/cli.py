@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -79,10 +80,13 @@ def load_manifest(path):
     """Parse and validate a scene manifest; paths resolve relative to it."""
     data = _load_json(path, "manifest")
     _require_keys(data, _MANIFEST_REQUIRED, _MANIFEST_OPTIONAL, "manifest")
+    _check_types(data, _MANIFEST_TYPES, "manifest")
     for i, entry in enumerate(data["models"]):
         _require_keys(entry, _MODEL_REQUIRED, _MODEL_OPTIONAL, f"manifest.models[{i}]")
+        _check_types(entry, _MODEL_TYPES, f"manifest.models[{i}]")
     if "augment" in data:
         _require_keys(data["augment"], (), _AUGMENT_KEYS, "manifest.augment")
+        _check_types(data["augment"], _AUGMENT_TYPES, "manifest.augment")
     data.setdefault("seed", 0)
     data.setdefault("num_scenes", 1)
     data.setdefault("points_per_model", 8196)
@@ -157,38 +161,67 @@ _TRAIN_DEFAULTS = {
 }
 
 
-_TRAIN_INTS = ("seed", "epochs", "steps_per_epoch", "prototypes", "attention_dim",
-               "points_per_model")
-_TRAIN_FLOATS = ("lr", "beta1", "beta2", "eps", "voxel_size", "inv_temperature",
-                 "inference_temperature")
-_TRAIN_BOOLS = ("use_dcr", "normalize_anchors")
-
-
 def _is_int(value) -> bool:
     # JSON true/false load as bool, which Python counts as int
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_train_types(data: dict) -> None:
-    for key in _TRAIN_INTS:
-        if key in data and not _is_int(data[key]):
-            raise ConfigError(f"train config: {key} must be an integer, got {data[key]!r}")
-    for key in _TRAIN_FLOATS:
-        if key in data and not (_is_int(data[key]) or isinstance(data[key], float)):
-            raise ConfigError(f"train config: {key} must be a number, got {data[key]!r}")
-    for key in _TRAIN_BOOLS:
-        if key in data and not isinstance(data[key], bool):
-            raise ConfigError(f"train config: {key} must be true or false, got {data[key]!r}")
-    widths = data.get("encoder_widths", [])
-    if not isinstance(widths, list) or not all(_is_int(w) for w in widths):
-        raise ConfigError(f"train config: encoder_widths must be a list of integers, "
-                          f"got {widths!r}")
+def _is_number(value) -> bool:
+    # Python's json reads NaN and Infinity, which no setting here accepts
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _is_xy_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)
+
+
+# (test, description) per JSON value type
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a finite number")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_NUMBER_OR_NULL = (lambda v: v is None or _is_number(v), "a finite number or null")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_INT_LIST = (lambda v: isinstance(v, list) and all(_is_int(w) for w in v),
+             "a list of integers")
+_STRING_LIST = (lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v),
+                "a list of strings")
+_OBJECT_LIST = (lambda v: isinstance(v, list) and all(isinstance(w, dict) for w in v),
+                "a list of objects")
+_XY_BOUNDS = (lambda v: isinstance(v, list) and len(v) == 2 and all(_is_xy_pair(p) for p in v),
+              "a list of two [x, y] pairs of finite numbers")
+
+_TRAIN_TYPES = {
+    **dict.fromkeys(("seed", "epochs", "steps_per_epoch", "prototypes", "attention_dim",
+                     "points_per_model"), _INT),
+    **dict.fromkeys(("lr", "beta1", "beta2", "eps", "voxel_size", "inv_temperature",
+                     "inference_temperature"), _NUMBER),
+    "use_dcr": _BOOL, "normalize_anchors": _BOOL, "encoder_widths": _INT_LIST,
+}
+_MANIFEST_TYPES = {
+    "models": _OBJECT_LIST,
+    "seed": _INT, "num_scenes": _INT, "points_per_model": _INT,
+    "floor_percentile": _NUMBER, "floor_z": _NUMBER_OR_NULL, "xy_bounds": _XY_BOUNDS,
+    "backgrounds": _STRING_LIST, "augment": _OBJECT,
+}
+_MODEL_TYPES = {"path": _STRING, "class_id": _INT, "name": _STRING, "negative": _BOOL,
+                "height": _NUMBER_OR_NULL}
+_AUGMENT_TYPES = {**dict.fromkeys(_AUGMENT_KEYS, _NUMBER),
+                  "crop_anchor_min": _INT, "crop_anchor_max": _INT}
+
+
+def _check_types(data: dict, types: dict, where: str) -> None:
+    """ConfigError naming the first key of data whose JSON value is not of
+    its type in types; keys absent from data are not checked."""
+    for key, (valid, kind) in types.items():
+        if key in data and not valid(data[key]):
+            raise ConfigError(f"{where}: {key} must be {kind}, got {data[key]!r}")
 
 
 def load_train_config(path):
     data = _load_json(path, "train config")
     _require_keys(data, _TRAIN_REQUIRED, _TRAIN_OPTIONAL, "train config")
-    _check_train_types(data)
+    _check_types(data, _TRAIN_TYPES, "train config")
     resolved = dict(_TRAIN_DEFAULTS)
     resolved.update(data)
     resolved["_base"] = str(Path(path).resolve().parent)

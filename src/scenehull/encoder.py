@@ -1,10 +1,32 @@
 """Sparse voxel features through a minimal 3x3x3 convolution stack.
 
 Only occupied voxels are stored; every layer convolves over the same voxel
-set (stride 1, no resampling), so neighbor maps are built once per scene.
+set (stride 1, no resampling), so the kernel map is built once per grid and
+read by every layer, forward and backward.
+
+The kernel map holds, per kernel offset, the (rows_out, rows_in) neighbour
+pairs, sorted by rows_out, and where each block of BLOCK_ROWS output rows
+starts in them. Offset 26 - o is offset o with its two sides swapped and the
+centre offset is the identity, so 13 key searches build all 27 maps.
+
+The forward pass runs block by block: inside a block each offset gathers its
+input rows, multiplies by its weight and adds into the block's output rows,
+in offset order 0..26, so the output rows stay in cache. Every output row
+adds the same terms in the same order as an unblocked per-offset pass, and
+the result is bit-identical to it, given two facts about numpy's matrix
+product that tests/test_encoder.py checks: a row of a GEMM does not depend on
+how many rows are multiplied with it, but a single-row product takes the
+gemv path, which sums in another order. So a block that holds one pair of an
+offset with more pairs multiplies that row twice and keeps one; an offset
+with one pair in the whole grid keeps gemv. When a layer's input is the
+constant 1 that voxelize gives, each term is exactly a weight row, which is
+added with no gather and no GEMM.
+
 Gradients for all kernel weights and biases are accumulated by hand in
 reverse mode, which lets them be checked against central finite differences
-in double precision.
+in double precision. The backward pass is unblocked: the weight gradient is
+one GEMM per offset over all its pairs, and splitting that sum would change
+it.
 """
 
 from __future__ import annotations
@@ -20,6 +42,10 @@ from .geometry import PointCloud
 # Kernel offsets in lexicographic order; weight[o] belongs to OFFSETS[o].
 OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
 NUM_OFFSETS = len(OFFSETS)  # 27
+CENTRE = NUM_OFFSETS // 2  # offset (0, 0, 0)
+# Output rows per block of the forward pass: 1024 rows of 96 float64
+# features (768 KB) stay in cache while the 27 offsets add into them.
+BLOCK_ROWS = 1024
 
 
 class SparseFeatureGrid:
@@ -34,6 +60,7 @@ class SparseFeatureGrid:
         if len(self.feats) != len(self.coords):
             raise ValueError("feats must have one row per voxel")
         self._neighbor_maps = None
+        self._block_starts = None
 
     @property
     def num_voxels(self) -> int:
@@ -42,11 +69,19 @@ class SparseFeatureGrid:
     @property
     def neighbor_maps(self):
         """Per kernel offset, (rows_out, rows_in) with coords[rows_in] ==
-        coords[rows_out] + offset. Rows are unique on both sides for a fixed
-        offset, so scatter-adds below never collide."""
+        coords[rows_out] + offset, sorted by rows_out. Rows are unique on
+        both sides for a fixed offset, so scatter-adds below never collide."""
         if self._neighbor_maps is None:
             self._neighbor_maps = _build_neighbor_maps(self.coords)
+            self._block_starts = _block_starts(self._neighbor_maps, self.num_voxels)
         return self._neighbor_maps
+
+    def _with_feats(self, feats: np.ndarray) -> "SparseFeatureGrid":
+        """The same voxels with other features, sharing this kernel map."""
+        grid = SparseFeatureGrid(self.coords, feats, self.point_to_voxel)
+        grid._neighbor_maps = self.neighbor_maps
+        grid._block_starts = self._block_starts
+        return grid
 
 
 def pack_keys(cells: np.ndarray, lo: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -66,16 +101,32 @@ def _build_neighbor_maps(coords: np.ndarray):
     keys = pack_keys(coords, lo, dims)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    maps = []
-    for off in OFFSETS:
-        target = pack_keys(coords + off, lo, dims)
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+        raise ValueError("voxel coordinates must be distinct")
+    rows = np.arange(len(coords))
+    maps = [None] * NUM_OFFSETS
+    maps[CENTRE] = (rows, rows)
+    for o in range(CENTRE):
+        target = pack_keys(coords + OFFSETS[o], lo, dims)
         pos = np.searchsorted(sorted_keys, target)
         pos = np.minimum(pos, len(sorted_keys) - 1)
         hit = sorted_keys[pos] == target
         rows_out = np.flatnonzero(hit)
         rows_in = order[pos[hit]]
-        maps.append((rows_out, rows_in))
+        maps[o] = (rows_out, rows_in)
+        # OFFSETS[26 - o] == -OFFSETS[o]: the same pairs, sides swapped. On
+        # coordinate-ordered rows, as voxelize makes them, rows_in already
+        # increases and the sort costs one pass.
+        by_in = np.argsort(rows_in, kind="stable")
+        maps[NUM_OFFSETS - 1 - o] = (rows_in[by_in], rows_out[by_in])
     return maps
+
+
+def _block_starts(maps, num_voxels: int) -> list:
+    """Per offset, where each block of BLOCK_ROWS output rows starts in its
+    pairs, plus the pair count: block b holds pairs starts[o][b]:starts[o][b+1]."""
+    edges = np.arange(0, num_voxels + BLOCK_ROWS, BLOCK_ROWS).clip(max=num_voxels)
+    return [np.searchsorted(rows_out, edges).tolist() for rows_out, _ in maps]
 
 
 def voxelize(pc: PointCloud, voxel_size: float, dtype=np.float64) -> SparseFeatureGrid:
@@ -126,15 +177,34 @@ class ConvLayer:
 
 def sparse_conv_forward(grid: SparseFeatureGrid, layer: ConvLayer, relu: bool = True) -> np.ndarray:
     """out[v] = bias + sum over offsets o of feat[v + o] @ W[o], active
-    neighbors only, optionally followed by ReLU."""
-    if grid.feats.shape[1] != layer.in_width:
+    neighbors only, optionally followed by ReLU.
+
+    Runs over blocks of BLOCK_ROWS output rows; each row adds its terms in
+    offset order, bit-identical to one unblocked pass per offset (see the
+    module docstring for the single-pair rule).
+    """
+    feats = grid.feats
+    if feats.shape[1] != layer.in_width:
         raise ValueError(
-            f"layer expects width {layer.in_width}, grid has {grid.feats.shape[1]}"
+            f"layer expects width {layer.in_width}, grid has {feats.shape[1]}"
         )
-    out = np.tile(layer.bias.astype(grid.feats.dtype), (grid.num_voxels, 1))
-    for o, (rows_out, rows_in) in enumerate(grid.neighbor_maps):
-        if len(rows_out):
-            out[rows_out] += grid.feats[rows_in] @ layer.weight[o]
+    maps = grid.neighbor_maps
+    starts = grid._block_starts
+    # 1 @ W[o] is exactly the row W[o, 0]
+    unit = feats.shape[1] == 1 and bool(np.all(feats == 1))
+    out = np.tile(layer.bias.astype(feats.dtype), (grid.num_voxels, 1))
+    for b in range(len(starts[0]) - 1):
+        for o, (rows_out, rows_in) in enumerate(maps):
+            lo, hi = starts[o][b], starts[o][b + 1]
+            if lo == hi:
+                continue
+            if unit:
+                out[rows_out[lo:hi]] += layer.weight[o, 0]
+            elif hi - lo == 1 and len(rows_out) > 1:
+                # the GEMM path the whole offset takes, not gemv
+                out[rows_out[lo:hi]] += (feats[rows_in[[lo, lo]]] @ layer.weight[o])[:1]
+            else:
+                out[rows_out[lo:hi]] += feats[rows_in[lo:hi]] @ layer.weight[o]
     return np.maximum(out, 0.0) if relu else out
 
 
@@ -195,9 +265,7 @@ class SparseEncoder:
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             inputs.append(feats)
-            work = SparseFeatureGrid(grid.coords, feats, grid.point_to_voxel)
-            work._neighbor_maps = grid.neighbor_maps
-            pre = sparse_conv_forward(work, layer, relu=False)
+            pre = sparse_conv_forward(grid._with_feats(feats), layer, relu=False)
             preacts.append(pre)
             feats = np.maximum(pre, 0.0) if i < last else pre
         self._cache = {"grid": grid, "inputs": inputs, "preacts": preacts}

@@ -21,7 +21,8 @@ from .scene import AugmentConfig, simulate_scene
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; the run is aborted rather than papered over."""
+    """Loss or a parameter became non-finite; the run is aborted rather than
+    papered over, and no checkpoint is written."""
 
 
 @dataclass
@@ -270,6 +271,10 @@ def train(
             for k, v in encoder.backward(d_feats).items():
                 grads[f"encoder.{k}"] = v
             opt.step(grads)
+            for name in sorted(params):
+                if not np.isfinite(params[name]).all():
+                    raise TrainingDiverged(
+                        f"parameter {name} became non-finite at epoch {epoch} step {step}")
 
         epoch_loss = float(np.mean(step_losses))
         epoch_losses.append(epoch_loss)

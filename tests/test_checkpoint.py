@@ -139,3 +139,65 @@ class TestGuards:
         path.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload)
         with pytest.raises(ValueError, match=re.escape(f"checkpoint header lacks {key}")):
             load_checkpoint(path)
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        with open(path, "rb") as fh:
+            magic = fh.readline()
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        edit(header)
+        path.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload)
+
+    @staticmethod
+    def entry(header, name):
+        return next(e for e in header["arrays"] if e["name"] == name)
+
+    @pytest.mark.parametrize("key, value", [
+        ("encoder", "x"), ("bank", 5), ("meta", []), ("arrays", {}),
+        ("encoder.num_layers", "3"), ("encoder.num_layers", 2.0),
+        ("encoder.voxel_size", "0.04"), ("bank.inv_temperature", None),
+        ("anchors.class_names", "abc"), ("anchors.class_names", ["a", 1, "c"]),
+        ("anchors.normalize", "false"),
+        ("arrays[0].name", 5), ("arrays[0].dtype", "zz"), ("arrays[0].dtype", "<i8"),
+        ("arrays[0].shape", "27,1,5"), ("arrays[0].shape", [27, -1, 5])])
+    def test_wrong_header_type_named(self, tmp_path, key, value):
+        encoder, bank, table = make_state(seed=10)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+
+        def edit(header):
+            section, _, leaf = key.rpartition(".")
+            if section == "arrays[0]":
+                header["arrays"][0][leaf] = value
+            elif section:
+                header[section][leaf] = value
+            else:
+                header[leaf] = value
+
+        self.rewrite_header(path, edit)
+        section, _, leaf = key.rpartition(".")
+        where = f"checkpoint header {section}: {leaf}" if section else f"checkpoint header: {leaf}"
+        with pytest.raises(ValueError, match=re.escape(f"{where} must be")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, shape, expected", [
+        # same byte counts as saved, so the payload still reads through
+        ("encoder.layers.1.weight", [27, 7, 5], "(27, 5, *)"),
+        ("encoder.layers.1.bias", [7, 1], "(7)"),
+        ("bank.prototypes", [7, 11], "(*, 7)"),
+        ("bank.w_query", [3, 7], "(7, 3)"),
+        ("anchors.embeddings", [6, 3], "(3, *)"),
+        ("anchors.w_proj", [7, 6], "(6, 7)")])
+    def test_array_shape_disagreeing_with_header_named(self, tmp_path, name, shape, expected):
+        encoder, bank, table = make_state(seed=11)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+
+        def edit(header):
+            self.entry(header, name)["shape"] = shape
+
+        self.rewrite_header(path, edit)
+        with pytest.raises(ValueError, match=re.escape(f"array {name} has shape")) as err:
+            load_checkpoint(path)
+        assert str(err.value).endswith(f"expected {expected}")

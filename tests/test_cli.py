@@ -67,6 +67,31 @@ class TestSimulate:
         code = run_cli(["simulate", "--manifest", bad, "-o", tmp_path / "run"])
         assert code == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "1"), ("num_scenes", "2"), ("points_per_model", "64"),
+        ("points_per_model", 64.0), ("floor_percentile", "1"), ("floor_z", "0"),
+        ("xy_bounds", [[0.0, 0.0], [3.0, "3"]]), ("xy_bounds", [[0.0, 0.0]]),
+        ("augment.scale_min", "0.9"), ("augment.scale_max", None),
+        ("augment.rotation_max", True), ("augment.crop_anchor_min", 2.5),
+        ("augment.crop_anchor_max", "5"), ("augment.crop_prob", [1.0]),
+        ("augment.overlap_voxel", "0.05"), ("augment.overlap_keep_prob", {}),
+        ("augment.scale_max", float("inf")), ("augment.rotation_max", float("nan")),
+        ("models", {"path": "sphere.off"}), ("backgrounds", "scan.txt"), ("augment", [1]),
+        ("models[0].path", 3), ("models[0].class_id", "0"), ("models[0].name", 1),
+        ("models[0].negative", "no"), ("models[0].height", "1.5")])
+    def test_wrong_json_type_config_error(self, toy_dir, tmp_path, capsys, field, value):
+        data = json.loads((toy_dir / "manifest.json").read_text())
+        section, _, key = field.rpartition(".")
+        target = data["models"][0] if section == "models[0]" else data[section] if section else data
+        target[key] = value
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(data))
+        code = run_cli(["simulate", "--manifest", bad, "-o", tmp_path / "run"])
+        assert code == 2
+        where = f"manifest.{section}" if section else "manifest"
+        assert f"config error: {where}: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_replay_byte_identical(self, toy_dir, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -152,6 +177,18 @@ class TestTrain:
         assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
         assert f"config error: train config: {field} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_non_finite_parameters_diverged(self, toy_dir, trained_run, tmp_path, capsys):
+        # one step: the loss is finite, the update is not; 1e39 is a finite
+        # float64 but overflows the float32 parameters
+        cfg = json.loads((toy_dir / "quick_train.json").read_text())
+        cfg.update({"lr": 1e39, "precision": "float32", "epochs": 1, "steps_per_epoch": 1})
+        path = toy_dir / "huge_lr.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 4
+        assert "numerical divergence: parameter" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
     def test_unknown_config_key_rejected(self, toy_dir, tmp_path):
         cfg = json.loads((toy_dir / "train_config.json").read_text())
@@ -246,6 +283,23 @@ class TestInferEval:
         code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
         assert code == 2
         assert "checkpoint header lacks encoder" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("num_layers", "3"), ("dtype", "zz")])
+    def test_checkpoint_wrong_header_type_config_error(self, trained_run, tmp_path, capsys,
+                                                       key, value):
+        with open(trained_run / "checkpoint.bin", "rb") as fh:
+            magic = fh.readline()
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        section = header["encoder"] if key == "num_layers" else header["arrays"][0]
+        section[key] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload)
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0 0 0\n0.1 0 0\n")
+        code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
+        assert code == 2
+        assert f"{key} must be" in capsys.readouterr().err
 
     def test_probability_file_bytes_match_per_row_formatting(self, toy_dir, trained_run,
                                                             tmp_path):

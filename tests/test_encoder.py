@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scenehull.encoder import (
+    BLOCK_ROWS,
     OFFSETS,
     ConvLayer,
     SparseEncoder,
@@ -102,6 +103,145 @@ class TestSparseConv:
         layer = ConvLayer(np.zeros((27, 3, 4)), np.zeros(4))
         with pytest.raises(ValueError):
             sparse_conv_forward(grid, layer)
+
+
+def reference_neighbor_maps(coords):
+    """One key search per offset, the plain form of the kernel map."""
+    lo = coords.min(axis=0) - 1
+    dims = coords.max(axis=0) - lo + 2
+    keys = pack_keys(coords, lo, dims)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    maps = []
+    for off in OFFSETS:
+        target = pack_keys(coords + off, lo, dims)
+        pos = np.minimum(np.searchsorted(sorted_keys, target), len(coords) - 1)
+        hit = sorted_keys[pos] == target
+        maps.append((np.flatnonzero(hit), order[pos[hit]]))
+    return maps
+
+
+def reference_forward(grid, layer):
+    """Unblocked: one gather-GEMM-add over all pairs of each offset in turn."""
+    out = np.tile(layer.bias.astype(grid.feats.dtype), (grid.num_voxels, 1))
+    for o, (rows_out, rows_in) in enumerate(reference_neighbor_maps(grid.coords)):
+        if len(rows_out):
+            out[rows_out] += grid.feats[rows_in] @ layer.weight[o]
+    return out
+
+
+def blocky_coords():
+    """Coordinate-ordered rows over more than one block: a column at x = 0
+    fills block 0 and part of block 1. Offset (1, 0, 0) has two pairs, the
+    only one in block 0 and the only one in block 1; offset (1, 1, 0) has a
+    single pair in the whole grid."""
+    n = BLOCK_ROWS + 300
+    column = [(0, 0, z) for z in range(n)]
+    extra = [(1, 0, 5), (1, 0, BLOCK_ROWS + 100), (1, 1, 600), (4, 4, 4)]
+    return np.array(column + extra, dtype=np.int64)
+
+
+class TestKernelMap:
+    def grids(self):
+        rng = np.random.default_rng(8)
+        yield np.array([[3, -2, 7]])  # one voxel
+        # disconnected clusters, rows in no particular order
+        clusters = [rng.integers(0, 3, size=(20, 3)) + shift
+                    for shift in ([0, 0, 0], [10, 0, 0], [0, -9, 40])]
+        yield rng.permutation(np.unique(np.concatenate(clusters), axis=0))
+        yield blocky_coords()
+        # a room-like slab, several blocks, coordinate-ordered
+        flat = rng.choice(40 * 40 * 6, size=3000, replace=False)
+        yield np.unique(np.stack(np.unravel_index(flat, (40, 40, 6)), axis=1), axis=0)
+
+    def test_symmetric_build_matches_one_search_per_offset(self):
+        for coords in self.grids():
+            grid = SparseFeatureGrid(coords, np.ones((len(coords), 1)), np.arange(len(coords)))
+            for (out, inp), (ref_out, ref_in) in zip(grid.neighbor_maps,
+                                                     reference_neighbor_maps(coords)):
+                np.testing.assert_array_equal(out, ref_out)
+                np.testing.assert_array_equal(inp, ref_in)
+
+    def test_block_starts_split_pairs_by_output_block(self):
+        for coords in self.grids():
+            grid = SparseFeatureGrid(coords, np.ones((len(coords), 1)), np.arange(len(coords)))
+            num_blocks = -(-len(coords) // BLOCK_ROWS)
+            for (rows_out, _), starts in zip(grid.neighbor_maps, grid._block_starts):
+                assert len(starts) == num_blocks + 1
+                assert starts[0] == 0 and starts[-1] == len(rows_out)
+                for b in range(num_blocks):
+                    block = rows_out[starts[b]:starts[b + 1]]
+                    assert np.all((block >= b * BLOCK_ROWS) & (block < (b + 1) * BLOCK_ROWS))
+
+    def test_duplicate_coords_rejected(self):
+        grid = SparseFeatureGrid(np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]]), np.ones((3, 1)),
+                                 np.arange(3))
+        with pytest.raises(ValueError, match="distinct"):
+            grid.neighbor_maps
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("c_in, c_out", [(32, 64), (64, 96), (3, 5)])
+    def test_gemm_rows_do_not_depend_on_row_count(self, c_in, c_out):
+        # what blocking relies on; a single row is the exception (gemv)
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((BLOCK_ROWS + 7, c_in))
+        w = rng.standard_normal((c_in, c_out))
+        full = a @ w
+        for m in [*range(2, 70), 255, 256, 1000, BLOCK_ROWS]:
+            for start in (0, 5):
+                assert np.array_equal(a[start:start + m] @ w, full[start:start + m])
+        assert np.array_equal((a[[3, 3]] @ w)[0], full[3])
+
+    def test_blocky_grid_has_the_single_pair_cases(self):
+        coords = blocky_coords()
+        maps = reference_neighbor_maps(coords)
+        x_pairs = maps[22][0]  # offset (1, 0, 0)
+        assert np.array_equal(x_pairs // BLOCK_ROWS, [0, 1])
+        assert len(maps[25][0]) == 1  # offset (1, 1, 0)
+
+    def test_matches_unblocked_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        coords = blocky_coords()
+        for c_in, c_out in [(64, 96), (32, 64), (3, 5), (2, 1)]:
+            grid = SparseFeatureGrid(coords, rng.standard_normal((len(coords), c_in)),
+                                     np.arange(len(coords)))
+            layer = ConvLayer(rng.standard_normal((27, c_in, c_out)), rng.standard_normal(c_out))
+            out = sparse_conv_forward(grid, layer, relu=False)
+            assert np.array_equal(out, reference_forward(grid, layer))
+
+    def test_matches_unblocked_on_a_scan(self):
+        rng = np.random.default_rng(10)
+        pc = PointCloud(rng.uniform(0.0, 1.0, size=(4000, 3)) * [2.0, 2.0, 0.3])
+        grid = voxelize(pc, 0.05)
+        assert grid.num_voxels > 2 * BLOCK_ROWS
+        feats = rng.standard_normal((grid.num_voxels, 32))
+        layer = ConvLayer(rng.standard_normal((27, 32, 64)), rng.standard_normal(64))
+        work = SparseFeatureGrid(grid.coords, feats, grid.point_to_voxel)
+        assert np.array_equal(sparse_conv_forward(work, layer, relu=False),
+                              reference_forward(work, layer))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_constant_input_matches_gemm(self, dtype):
+        # voxelize's constant 1 takes the no-GEMM path; the reference multiplies
+        rng = np.random.default_rng(11)
+        coords = blocky_coords()
+        grid = SparseFeatureGrid(coords, np.ones((len(coords), 1), dtype=dtype),
+                                 np.arange(len(coords)))
+        layer = ConvLayer(rng.standard_normal((27, 1, 32)).astype(dtype),
+                          rng.standard_normal(32).astype(dtype))
+        out = sparse_conv_forward(grid, layer, relu=False)
+        assert out.dtype == dtype
+        assert np.array_equal(out, reference_forward(grid, layer))
+
+    def test_other_width_one_input_is_multiplied(self):
+        rng = np.random.default_rng(12)
+        coords = blocky_coords()
+        grid = SparseFeatureGrid(coords, np.full((len(coords), 1), 1.0), np.arange(len(coords)))
+        grid.feats[7] = 0.5
+        layer = ConvLayer(rng.standard_normal((27, 1, 8)), rng.standard_normal(8))
+        out = sparse_conv_forward(grid, layer, relu=False)
+        assert np.array_equal(out, reference_forward(grid, layer))
 
 
 class TestEncoderForward:
