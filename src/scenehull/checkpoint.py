@@ -106,7 +106,10 @@ def load_checkpoint(path) -> Checkpoint:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a scenehull checkpoint")
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise OSError(f"{path}: corrupt checkpoint header: {exc}") from None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format") != FORMAT_VERSION:

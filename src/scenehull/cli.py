@@ -81,6 +81,8 @@ def load_manifest(path):
     data = _load_json(path, "manifest")
     _require_keys(data, _MANIFEST_REQUIRED, _MANIFEST_OPTIONAL, "manifest")
     _check_types(data, _MANIFEST_TYPES, "manifest")
+    if data.get("num_scenes", 0) < 0:
+        raise ConfigError(f"manifest.num_scenes must be >= 0, got {data['num_scenes']}")
     for i, entry in enumerate(data["models"]):
         _require_keys(entry, _MODEL_REQUIRED, _MODEL_OPTIONAL, f"manifest.models[{i}]")
         _check_types(entry, _MODEL_TYPES, f"manifest.models[{i}]")
@@ -281,7 +283,8 @@ def cmd_simulate(args) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 15485863, i]))
         scene = compose_step_scene(
             models, augment, rng, backgrounds=backgrounds or None,
-            xy_bounds=bounds, floor_percentile=manifest["floor_percentile"],
+            xy_bounds=bounds, floor_z=manifest["floor_z"],
+            floor_percentile=manifest["floor_percentile"],
         )
         geometry.save_points(out_dir / f"scene_{i:03d}.txt", scene.cloud)
         instances = []
@@ -367,7 +370,8 @@ def cmd_train(args) -> int:
             models, table, encoder, bank, train_cfg,
             augment=_manifest_augment(manifest),
             backgrounds=backgrounds or None, xy_bounds=_xy_bounds(manifest),
-            floor_percentile=manifest["floor_percentile"], log_file=log,
+            floor_z=manifest["floor_z"], floor_percentile=manifest["floor_percentile"],
+            log_file=log,
         )
     save_checkpoint(out_dir / "checkpoint.bin", encoder, bank, table,
                     meta={"train_config": {k: v for k, v in resolved.items() if k != "out"}})

@@ -26,7 +26,10 @@ Gradients for all kernel weights and biases are accumulated by hand in
 reverse mode, which lets them be checked against central finite differences
 in double precision. The backward pass is unblocked: the weight gradient is
 one GEMM per offset over all its pairs, and splitting that sum would change
-it.
+it. The cache it reads, every layer's input, exists for training only:
+forward() keeps it, forward_grid() only when asked, so inference holds one
+layer's output at a time. The ReLU runs in place; backward() reads its
+output, which is positive exactly where its pre-activation is.
 """
 
 from __future__ import annotations
@@ -212,7 +215,8 @@ class SparseEncoder:
     """Conv stack over a sparse voxel grid; points read out their voxel row.
 
     ReLU follows every layer except the last. forward() caches everything
-    backward() needs; calling backward() without a cached forward raises.
+    backward() needs; calling backward() after forward_grid() without
+    cache=True, or with no forward at all, raises.
     """
 
     def __init__(self, layers, voxel_size: float = 0.05):
@@ -257,18 +261,22 @@ class SparseEncoder:
             params[f"layers.{i}.bias"] = layer.bias
         return params
 
-    def forward_grid(self, grid: SparseFeatureGrid) -> np.ndarray:
-        """Run the stack on a prepared grid; returns (V, D) voxel features."""
+    def forward_grid(self, grid: SparseFeatureGrid, cache: bool = False) -> np.ndarray:
+        """Run the stack on a prepared grid; returns (V, D) voxel features.
+
+        cache=True keeps every layer's input for backward(). Without it only
+        one layer's output lives at a time, and a later backward() raises.
+        """
         inputs = []
-        preacts = []
         feats = grid.feats
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            inputs.append(feats)
-            pre = sparse_conv_forward(grid._with_feats(feats), layer, relu=False)
-            preacts.append(pre)
-            feats = np.maximum(pre, 0.0) if i < last else pre
-        self._cache = {"grid": grid, "inputs": inputs, "preacts": preacts}
+            if cache:
+                inputs.append(feats)
+            feats = sparse_conv_forward(grid._with_feats(feats), layer, relu=False)
+            if i < last:
+                np.maximum(feats, 0.0, out=feats)
+        self._cache = {"grid": grid, "inputs": inputs} if cache else None
         return feats
 
     def voxelize(self, pc: PointCloud) -> SparseFeatureGrid:
@@ -278,7 +286,7 @@ class SparseEncoder:
     def forward(self, pc: PointCloud) -> np.ndarray:
         """Voxelize, convolve, and give each point its voxel's feature."""
         grid = self.voxelize(pc)
-        return self.forward_grid(grid)[grid.point_to_voxel]
+        return self.forward_grid(grid, cache=True)[grid.point_to_voxel]
 
     def backward(self, upstream: np.ndarray) -> dict:
         """Exact parameter gradients for upstream per-point feature gradients.
@@ -290,7 +298,6 @@ class SparseEncoder:
             raise RuntimeError("backward called without a cached forward pass")
         grid = self._cache["grid"]
         inputs = self._cache["inputs"]
-        preacts = self._cache["preacts"]
         upstream = np.asarray(upstream)
         if upstream.shape != (len(grid.point_to_voxel), self.feature_dim):
             raise ValueError("upstream gradient shape mismatch")
@@ -303,7 +310,9 @@ class SparseEncoder:
         for i in range(last, -1, -1):
             layer = self.layers[i]
             if i < last:
-                grad = grad * (preacts[i] > 0.0)
+                # the next layer's input is this ReLU's output, positive
+                # exactly where its pre-activation is
+                grad = grad * (inputs[i + 1] > 0.0)
             d_weight = np.zeros_like(layer.weight)
             d_input = np.zeros_like(inputs[i])
             for o, (rows_out, rows_in) in enumerate(grid.neighbor_maps):

@@ -9,7 +9,9 @@ function of (inputs, generator state), so a fixed seed replays byte-identically.
 from __future__ import annotations
 
 import heapq
+import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,21 +215,50 @@ def save_mesh(path, mesh: TriangleMesh) -> None:
             fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
 
 
+# Line breaks that str.splitlines knows and np.loadtxt does not, and the
+# '#' that starts a comment line for the line loop only
+_LOOP_ONLY = "#\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def load_points(path) -> PointCloud:
-    """Read "x y z" or "x y z label" lines; mixing the two is an error."""
+    """Read "x y z" or "x y z label" lines; mixing the two is an error.
+
+    One np.loadtxt call parses a plain file. Text it cannot parse, or that
+    holds '#' or a line break it does not know, goes through the line loop,
+    which names the first bad line. Both read the same numbers bit for bit.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    # with no break but '\n' left, the first meaningful line is the first
+    # line that is not blank
+    first = re.search(r"\S[^\n]*", text)
+    if first is not None and not any(c in text for c in _LOOP_ONLY):
+        labeled = len(first.group().split()) == 4
+        dtype = [("p", "f8", 3)] + ([("l", "i8")] if labeled else [])
+        try:
+            rows = np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            return PointCloud(np.ascontiguousarray(rows["p"]),
+                              np.ascontiguousarray(rows["l"]) if labeled else None)
+    return _parse_point_lines(path, text)
+
+
+def _parse_point_lines(path, text) -> PointCloud:
+    """The line loop: blank and '#' lines skipped, errors name the line."""
     positions = []
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in _meaningful_lines(fh.read()):
-            fields = line.split()
-            if len(fields) not in (3, 4):
-                raise ValueError(f"{path} line {lineno}: expected 3 or 4 fields")
-            try:
-                positions.append([float(fields[0]), float(fields[1]), float(fields[2])])
-                if len(fields) == 4:
-                    labels.append(int(fields[3]))
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: bad point {line!r}") from None
+    for lineno, line in _meaningful_lines(text):
+        fields = line.split()
+        if len(fields) not in (3, 4):
+            raise ValueError(f"{path} line {lineno}: expected 3 or 4 fields")
+        try:
+            positions.append([float(fields[0]), float(fields[1]), float(fields[2])])
+            if len(fields) == 4:
+                labels.append(int(fields[3]))
+        except ValueError:
+            raise ValueError(f"{path} line {lineno}: bad point {line!r}") from None
     if labels and len(labels) != len(positions):
         raise ValueError(f"{path}: some points carry labels and some do not")
     return PointCloud(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorTable
-from .encoder import SparseEncoder
+from .encoder import BLOCK_ROWS, SparseEncoder
 from .hull import PrototypeBank, softmax
 from .scene import AugmentConfig, simulate_scene
 
@@ -171,10 +171,13 @@ def compose_step_scene(
     *,
     backgrounds=None,
     xy_bounds=None,
+    floor_z: float | None = None,
     floor_percentile: float = 1.0,
 ):
     """One training scene: one model per foreground class plus one negative,
-    optionally mixed over a background scan."""
+    optionally mixed over a background scan. Models stand on floor_z, or on
+    the background's floor_percentile z when it is None (0 with no
+    background)."""
     picks = []
     for c in models.foreground_classes:
         variants = models.clouds[c]
@@ -189,7 +192,7 @@ def compose_step_scene(
         background = backgrounds[int(rng.integers(len(backgrounds)))]
     return simulate_scene(
         background, picks, augment, rng,
-        xy_bounds=xy_bounds, floor_percentile=floor_percentile,
+        xy_bounds=xy_bounds, floor_z=floor_z, floor_percentile=floor_percentile,
     )
 
 
@@ -203,6 +206,7 @@ def train(
     *,
     backgrounds=None,
     xy_bounds=None,
+    floor_z: float | None = None,
     floor_percentile: float = 1.0,
     log_file=None,
 ) -> list:
@@ -243,7 +247,7 @@ def train(
             scene = compose_step_scene(
                 models, augment, rng,
                 backgrounds=backgrounds, xy_bounds=xy_bounds,
-                floor_percentile=floor_percentile,
+                floor_z=floor_z, floor_percentile=floor_percentile,
             )
             feats = encoder.forward(scene.cloud)
             projected = bank.project(feats, cache=True) if config.use_dcr else feats
@@ -293,14 +297,33 @@ def infer_scene(
     temperature: float = 1.0,
 ) -> np.ndarray:
     """Per-point class distributions for an unlabeled scene, (N, C). Points
-    in a voxel share its feature, so each reads its voxel's row."""
+    in a voxel share its feature, so each reads its voxel's row.
+
+    The encoder keeps no training cache, and the hull and the anchors read
+    blocks of BLOCK_ROWS voxel rows into one (V, C) array, so no (V, K)
+    hull temporary is ever built. Every step works row by row, so the rows
+    equal one unblocked pass bit for bit. The exception is a one-row
+    product, which takes numpy's gemv path (see encoder.py), so a one-row
+    tail joins the block before it.
+    """
     if bank is not None and bank.feature_dim != encoder.feature_dim:
         raise ValueError("bank feature dim does not match encoder output")
     if table.feature_dim != encoder.feature_dim:
         raise ValueError("anchor projection does not match encoder output")
     grid = encoder.voxelize(cloud)
     feats = encoder.forward_grid(grid)
-    # centered readout: the prototype centroid is a constant that training
-    # uses as a class bias; see hull.py
-    projected = bank.project(feats, centered=True) if bank is not None else feats
-    return class_probs(projected, table, temperature=temperature)[grid.point_to_voxel]
+    v = len(feats)
+    edges = list(range(0, v, BLOCK_ROWS)) + [v]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    probs = None
+    for lo, hi in zip(edges, edges[1:]):
+        block = feats[lo:hi]
+        # centered readout: the prototype centroid is a constant that
+        # training uses as a class bias; see hull.py
+        projected = bank.project(block, centered=True) if bank is not None else block
+        block_probs = class_probs(projected, table, temperature=temperature)
+        if probs is None:
+            probs = np.empty((v, block_probs.shape[1]), dtype=block_probs.dtype)
+        probs[lo:hi] = block_probs
+    return probs[grid.point_to_voxel]

@@ -92,6 +92,35 @@ class TestSimulate:
         assert f"config error: {where}: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_negative_num_scenes_config_error(self, toy_dir, tmp_path, capsys):
+        data = json.loads((toy_dir / "manifest.json").read_text())
+        data["num_scenes"] = -1
+        bad = tmp_path / "bad_manifest.json"
+        bad.write_text(json.dumps(data))
+        code = run_cli(["simulate", "--manifest", bad, "-o", tmp_path / "run"])
+        assert code == 2
+        assert "config error: manifest.num_scenes must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_floor_z_sets_every_model_floor(self, toy_dir, tmp_path):
+        data = json.loads((toy_dir / "manifest.json").read_text())
+        # keep every overlapping point, so no model loses its lowest one
+        data["augment"]["overlap_keep_prob"] = 1.0
+        data["floor_z"] = 5.0
+        manifest = toy_dir / "floor_manifest.json"
+        manifest.write_text(json.dumps(data))
+        assert run_cli(["simulate", "--manifest", manifest, "--seed", 1, "-o", tmp_path]) == 0
+        for scene in ("scene_000", "scene_001"):
+            rows = np.loadtxt(tmp_path / f"{scene}.txt", ndmin=2)
+            meta = json.loads((tmp_path / f"{scene}.json").read_text())
+            # scene files carry no instance ids; in the toy manifest every
+            # model of a scene has its own class
+            classes = [inst["class_id"] for inst in meta["instances"]]
+            assert len(set(classes)) == len(classes)
+            for class_id in classes:
+                z = rows[rows[:, 3] == class_id, 2]
+                assert z.min() == pytest.approx(5.0, abs=1e-12)
+
     def test_replay_byte_identical(self, toy_dir, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -189,6 +218,28 @@ class TestTrain:
             assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 4
         assert "numerical divergence: parameter" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    def test_manifest_floor_z_reaches_training_scenes(self, toy_dir, trained_run, tmp_path,
+                                                     monkeypatch):
+        from scenehull import objective
+
+        data = json.loads((toy_dir / "manifest.json").read_text())
+        data["floor_z"] = 5.0
+        (toy_dir / "floor_train_manifest.json").write_text(json.dumps(data))
+        cfg = json.loads((toy_dir / "quick_train.json").read_text())
+        cfg.update({"manifest": "floor_train_manifest.json", "epochs": 1, "steps_per_epoch": 1})
+        path = toy_dir / "floor_train.json"
+        path.write_text(json.dumps(cfg))
+        floors = []
+        compose = objective.compose_step_scene
+
+        def recording(*args, **kwargs):
+            floors.append(kwargs["floor_z"])
+            return compose(*args, **kwargs)
+
+        monkeypatch.setattr(objective, "compose_step_scene", recording)
+        assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 0
+        assert floors == [5.0]
 
     def test_unknown_config_key_rejected(self, toy_dir, tmp_path):
         cfg = json.loads((toy_dir / "train_config.json").read_text())
@@ -300,6 +351,20 @@ class TestInferEval:
         code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
         assert code == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [b"\xff\xfe not utf-8", b"{not json"])
+    def test_corrupt_checkpoint_header_io_error(self, trained_run, tmp_path, capsys, header):
+        with open(trained_run / "checkpoint.bin", "rb") as fh:
+            magic = fh.readline()
+            fh.readline()
+            payload = fh.read()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(magic + header + b"\n" + payload)
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0 0 0\n0.1 0 0\n")
+        code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
+        assert code == 3
+        assert f"i/o error: {bad}: corrupt checkpoint header" in capsys.readouterr().err
 
     def test_probability_file_bytes_match_per_row_formatting(self, toy_dir, trained_run,
                                                             tmp_path):

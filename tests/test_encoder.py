@@ -313,3 +313,28 @@ class TestEncoderBackward:
         for seed in range(5):
             for res in check_encoder(seed):
                 assert res.passed, str(res)
+
+    def test_backward_after_uncached_forward_grid_raises(self):
+        enc = SparseEncoder.create(widths=(3, 4), seed=1)
+        pc = PointCloud(np.random.default_rng(8).uniform(-0.2, 0.2, size=(12, 3)))
+        enc.forward(pc)  # a cached pass, then an inference pass that drops it
+        enc.forward_grid(enc.voxelize(pc))
+        with pytest.raises(RuntimeError):
+            enc.backward(np.zeros((12, 4)))
+
+    def test_cache_changes_neither_features_nor_gradients(self):
+        # the cached pass keeps every layer's input, the uncached pass none
+        rng = np.random.default_rng(9)
+        enc = SparseEncoder.create(widths=(5, 6, 4), seed=3, voxel_size=0.05)
+        pc = PointCloud(rng.uniform(-0.2, 0.2, size=(40, 3)))
+        upstream = rng.normal(size=(40, 4))
+        grid = enc.voxelize(pc)
+        plain = enc.forward_grid(grid)
+        cached = enc.forward_grid(grid, cache=True)
+        assert np.array_equal(plain, cached)
+        grads = enc.backward(upstream)
+        assert np.array_equal(enc.forward(pc), cached[grid.point_to_voxel])
+        expected = enc.backward(upstream)
+        assert grads.keys() == expected.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], expected[name]), name

@@ -366,3 +366,104 @@ class TestPointCloudType:
         back = load_points(path)
         assert back.labels is None
         np.testing.assert_array_equal(back.positions, pc.positions)
+
+
+def line_loop_load_points(path) -> PointCloud:
+    """The reader before np.loadtxt: one str.split and float/int per line."""
+    positions = []
+    labels = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in geometry._meaningful_lines(fh.read()):
+            fields = line.split()
+            if len(fields) not in (3, 4):
+                raise ValueError(f"{path} line {lineno}: expected 3 or 4 fields")
+            try:
+                positions.append([float(fields[0]), float(fields[1]), float(fields[2])])
+                if len(fields) == 4:
+                    labels.append(int(fields[3]))
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: bad point {line!r}") from None
+    if labels and len(labels) != len(positions):
+        raise ValueError(f"{path}: some points carry labels and some do not")
+    return PointCloud(
+        np.asarray(positions, dtype=np.float64).reshape(-1, 3),
+        np.asarray(labels, dtype=np.int64) if labels else None,
+    )
+
+
+def outcome(reader, path):
+    """(positions bytes, shape, label bytes or None) or (exception type, message)."""
+    try:
+        pc = reader(path)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    assert pc.positions.dtype == np.float64 and pc.positions.flags.c_contiguous
+    labels = None if pc.labels is None else (pc.labels.dtype, pc.labels.tobytes())
+    return pc.positions.tobytes(), pc.positions.shape, labels
+
+
+class TestLoadPointsMatchesLineLoop:
+    """load_points parses with np.loadtxt and falls back to the line loop;
+    both must give the same arrays, or the same exception and message."""
+
+    CASES = [
+        "", "\n\n", "   \n\t\n", "1 2 3\n", "1 2 3", "1 2 3 4\n", "1 2 3 -4\n5 6 7 8\n",
+        "\n1 2 3\n\n  \n4 5 6\n\n", "1 2 3\r\n4 5 6\r\n", "1 2 3\r4 5 6\r", "1\t2\t3\t4\n",
+        "  1   2\t 3  \n", "# header\n1 2 3\n", "1 2 3\n# 4 5 6\n7 8 9\n", "  # x\n1 2 3\n",
+        "1 2 3 # note\n", "1 2 3#\n", "1 2# 3\n", "1 2 3\n4 5 6 7\n", "1 2 3 4\n5 6 7\n",
+        "1 2\n", "1 2 3 4 5\n", "1_0 2 3\n", "1 2 3 1_0\n", "\u0661 2 3\n", "1 2 3 \u0663\n",
+        "1 2 3 99999999999999999999\n", "1 2 3 -99999999999999999999\n",
+        "1 2 3 9223372036854775807\n", "1 2 3 -9223372036854775808\n", "1 2 3 3.0\n",
+        "1 2 3 1e3\n", "1 2 3 +4\n", "1 2 3 -0\n", "nan 2 3\n", "inf 2 3 1\n",
+        "-Infinity 2 3\n", "1e500 2 3\n", "1 2\f3\n", "1 2 3\f\n", "1 2 3\v4 5 6\n",
+        "1 2 3\x1c4 5 6\n", "1 2 3\x85\n", "1 2 3\u2028", "1 2 3\u2029\n", "1\xa02\u30003\n",
+        "1 2\x1f3\n", "1 2 3\x00\n", "1 2 3\x004\n", "\x00\n1 2 3\n", "0x1 2 3\n",
+        "1 2 3 0x1\n", ".5 -.5e-3 +5.\n", "-0 0 -0.0 -1\n", "5e-324 1e-320 2.2250738585072014e-308\n",
+        '"1" 2 3\n', "1,2,3\n", "1 2 3,\n", "nan(1) 2 3\n",
+    ]
+
+    # each break that str.splitlines knows and np.loadtxt does not, inside a line
+    CASES += [f"1 2{c}3\n" for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_case(self, tmp_path, text):
+        path = tmp_path / "pts.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_points, path) == outcome(line_loop_load_points, path)
+
+    def test_random_files(self, tmp_path):
+        tokens = ["1", "-2.5", "0.1", "1e3", "-0", "3.0", "7", "+4", "1_0", "nan", "inf",
+                  "\u0663", "99999999999999999999", "0x1", "#", "#1", "1#", "", "\xa0", "\x00",
+                  "1e500", ".5"]
+        seps = [" ", " ", "\t", "  ", "\f", "\xa0"]
+        ends = ["\n", "\n", "\n", "\r\n", "\r", "\v", "\u2028", ""]
+        rng = np.random.default_rng(0)
+        path = tmp_path / "pts.txt"
+        for _ in range(400):
+            lines = []
+            for _ in range(int(rng.integers(0, 5))):
+                width = int(rng.choice([3, 3, 4, 4, 2, 5]))
+                if rng.random() < 0.8:  # mostly clean numbers
+                    fields = [str(rng.choice(["1", "-2.5", "0.1", "7", "-0"])) for _ in range(width)]
+                else:
+                    fields = [str(rng.choice(tokens)) for _ in range(width)]
+                sep = str(rng.choice(seps)) if rng.random() < 0.2 else " "
+                end = str(rng.choice(ends)) if rng.random() < 0.2 else "\n"
+                lines.append(sep.join(fields) + end)
+            text = "".join(lines)
+            path.write_bytes(text.encode("utf-8"))
+            assert outcome(load_points, path) == outcome(line_loop_load_points, path), repr(text)
+
+    def test_plain_files_skip_the_line_loop(self, tmp_path, monkeypatch):
+        def refuse(path, text):
+            raise AssertionError("line loop used")
+
+        rng = np.random.default_rng(1)
+        pc = PointCloud(rng.normal(size=(50, 3)), labels=rng.integers(-1, 5, 50))
+        path = tmp_path / "pts.txt"
+        save_points(path, pc)
+        expected = outcome(line_loop_load_points, path)
+        monkeypatch.setattr(geometry, "_parse_point_lines", refuse)
+        assert outcome(load_points, path) == expected
+        save_points(path, pc, include_labels=False)
+        assert load_points(path).labels is None

@@ -2,12 +2,13 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from scenehull.anchors import AnchorTable
-from scenehull.encoder import SparseEncoder
+from scenehull.encoder import BLOCK_ROWS, SparseEncoder
 from scenehull.geometry import PointCloud, poisson_disk_sample
 from scenehull.hull import PrototypeBank
 from scenehull.objective import (
@@ -16,6 +17,7 @@ from scenehull.objective import (
     TrainConfig,
     TrainingDiverged,
     class_probs,
+    compose_step_scene,
     contrastive_loss,
     infer_scene,
     train,
@@ -338,3 +340,77 @@ class TestInferScene:
             infer_scene(with_labels, encoder, bank, table),
             infer_scene(without, encoder, bank, table),
         )
+
+
+def distinct_voxel_cloud(num_voxels, voxel_size, seed, spacing=1):
+    """One point in each of num_voxels random cells of a box, cells
+    `spacing` apart; spacing 2 leaves every voxel without neighbours."""
+    rng = np.random.default_rng(seed)
+    side = int(np.ceil((2 * num_voxels) ** (1 / 3)))
+    cells = rng.choice(side ** 3, size=num_voxels, replace=False)
+    ijk = np.stack(np.unravel_index(cells, (side,) * 3), axis=1)
+    return PointCloud((ijk * spacing + 0.5) * voxel_size)
+
+
+class TestBlockedInferScene:
+    """infer_scene reads the hull and the anchors in blocks of BLOCK_ROWS
+    voxel rows; the rows must equal one unblocked pass bit for bit."""
+
+    @staticmethod
+    def pieces(widths=(32, 64, 96), prototypes=128):
+        encoder = SparseEncoder.create(widths=widths, seed=3, voxel_size=0.05)
+        d = encoder.feature_dim
+        bank = PrototypeBank.create(num_prototypes=prototypes, feature_dim=d,
+                                    attention_dim=16, inv_temperature=2.0, seed=4)
+        rng = np.random.default_rng(5)
+        table = AnchorTable([f"c{i}" for i in range(5)], rng.normal(size=(5, 6)),
+                            rng.normal(size=(6, d)))
+        return encoder, bank, table
+
+    @pytest.mark.parametrize("num_voxels", [1, 2, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_blocked_equals_unblocked(self, num_voxels):
+        encoder, bank, table = self.pieces()
+        cloud = distinct_voxel_cloud(num_voxels, encoder.voxel_size, seed=num_voxels)
+        assert encoder.voxelize(cloud).num_voxels == num_voxels
+        feats = encoder.forward(cloud)
+        assert np.array_equal(infer_scene(cloud, encoder, bank, table),
+                              class_probs(bank.project(feats, centered=True), table))
+        assert np.array_equal(infer_scene(cloud, encoder, None, table), class_probs(feats, table))
+
+    def test_no_voxels_by_prototypes_array(self):
+        # narrow features and isolated voxels keep everything but the hull
+        # small, so a (V, K) float64 array would show in the traced peak; a
+        # block's few (BLOCK_ROWS, K) softmax temporaries stay under it
+        encoder, bank, table = self.pieces(widths=(8, 16), prototypes=128)
+        cloud = distinct_voxel_cloud(16 * BLOCK_ROWS, encoder.voxel_size, seed=1, spacing=2)
+        num_voxels = encoder.voxelize(cloud).num_voxels
+        assert num_voxels == 16 * BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            infer_scene(cloud, encoder, bank, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < num_voxels * bank.num_prototypes * 8
+
+
+class TestComposeStepScene:
+    def test_floor_z_sets_every_model_floor(self):
+        models = toy_models()
+        # keep every overlapping point, so no placed model loses its lowest one
+        augment = AugmentConfig(overlap_keep_prob=1.0)
+        rng = np.random.default_rng(0)
+        scene = compose_step_scene(models, augment, rng, floor_z=5.0,
+                                   xy_bounds=((0, 0), (1, 1)))
+        cloud = scene.cloud
+        assert set(np.unique(cloud.instance_ids)) == {0, 1, 2}
+        for inst in range(3):
+            z = cloud.positions[cloud.instance_ids == inst, 2]
+            assert z.min() == pytest.approx(5.0, abs=1e-12)
+
+    def test_default_floor_unchanged(self):
+        models = toy_models()
+        a = compose_step_scene(models, AugmentConfig(), np.random.default_rng(1))
+        b = compose_step_scene(models, AugmentConfig(), np.random.default_rng(1), floor_z=None)
+        np.testing.assert_array_equal(a.cloud.positions, b.cloud.positions)
+        assert a.cloud.positions[:, 2].min() == pytest.approx(0.0, abs=1e-12)
