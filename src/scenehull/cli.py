@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -30,15 +31,6 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 class ConfigError(ValueError):
     """Bad run configuration; maps to exit code 2."""
-
-
-def _require_keys(mapping: dict, required, optional, where: str) -> None:
-    unknown = set(mapping) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(mapping)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
 def _load_json(path, where: str) -> dict:
@@ -66,39 +58,32 @@ def _write_resolved(out_dir: Path, resolved: dict) -> None:
 # Manifest / config loading
 # ---------------------------------------------------------------------------
 
-_MANIFEST_REQUIRED = ("models",)
-_MANIFEST_OPTIONAL = ("seed", "num_scenes", "points_per_model", "xy_bounds",
-                      "floor_percentile", "floor_z", "backgrounds", "augment")
-_MODEL_REQUIRED = ("path", "class_id")
-_MODEL_OPTIONAL = ("name", "negative", "height")
-_AUGMENT_KEYS = ("scale_min", "scale_max", "rotation_max", "crop_anchor_min",
-                 "crop_anchor_max", "crop_prob", "overlap_voxel",
-                 "overlap_keep_prob")
-
-
 def load_manifest(path):
-    """Parse and validate a scene manifest; paths resolve relative to it."""
-    data = _load_json(path, "manifest")
-    _require_keys(data, _MANIFEST_REQUIRED, _MANIFEST_OPTIONAL, "manifest")
-    _check_types(data, _MANIFEST_TYPES, "manifest")
-    if data.get("num_scenes", 0) < 0:
-        raise ConfigError(f"manifest.num_scenes must be >= 0, got {data['num_scenes']}")
-    for i, entry in enumerate(data["models"]):
-        _require_keys(entry, _MODEL_REQUIRED, _MODEL_OPTIONAL, f"manifest.models[{i}]")
-        _check_types(entry, _MODEL_TYPES, f"manifest.models[{i}]")
-    if "augment" in data:
-        _require_keys(data["augment"], (), _AUGMENT_KEYS, "manifest.augment")
-        _check_types(data["augment"], _AUGMENT_TYPES, "manifest.augment")
-    data.setdefault("seed", 0)
-    data.setdefault("num_scenes", 1)
-    data.setdefault("points_per_model", 8196)
-    data.setdefault("xy_bounds", [[0.0, 0.0], [4.0, 4.0]])
-    data.setdefault("floor_percentile", 1.0)
-    data.setdefault("floor_z", None)
-    data.setdefault("backgrounds", [])
-    data.setdefault("augment", {})
-    data["_base"] = str(Path(path).resolve().parent)
-    return data
+    """Parse and validate a scene manifest; paths resolve relative to it.
+
+    Besides the manifest's keys, with defaults filled in, the dict holds
+    "_augment" (a scene.AugmentConfig), "_bounds" (xy_bounds as float
+    pairs) and "_base" (the manifest's directory).
+    """
+    from .scene import AugmentConfig
+
+    manifest = _parse(_load_json(path, "manifest"), _MANIFEST_SCHEMA, "manifest")
+    if manifest["num_scenes"] < 0:
+        raise ConfigError(f"manifest.num_scenes must be >= 0, got {manifest['num_scenes']}")
+    for i, entry in enumerate(manifest["models"]):
+        _parse(entry, _MODEL_SCHEMA, f"manifest.models[{i}]")
+    augment = _parse(manifest["augment"], _dataclass_schema(AugmentConfig), "manifest.augment")
+    try:
+        manifest["_augment"] = AugmentConfig(**augment)
+    except ValueError as exc:
+        raise ConfigError(f"manifest.augment: {exc}") from None
+    (xmin, ymin), (xmax, ymax) = manifest["xy_bounds"]
+    if xmin > xmax or ymin > ymax:
+        raise ConfigError(f"manifest: xy_bounds minimum {[xmin, ymin]} is above its "
+                          f"maximum {[xmax, ymax]}")
+    manifest["_bounds"] = ((float(xmin), float(ymin)), (float(xmax), float(ymax)))
+    manifest["_base"] = str(Path(path).resolve().parent)
+    return manifest
 
 
 def _manifest_models(manifest, points_per_model, seed):
@@ -133,36 +118,6 @@ def _manifest_models(manifest, points_per_model, seed):
     return ModelSet(clouds, frozenset(negatives)), backgrounds, names
 
 
-def _manifest_augment(manifest):
-    from .scene import AugmentConfig
-
-    try:
-        return AugmentConfig(**manifest["augment"])
-    except ValueError as exc:
-        raise ConfigError(f"manifest.augment: {exc}") from None
-
-
-def _xy_bounds(manifest):
-    (xmin, ymin), (xmax, ymax) = manifest["xy_bounds"]
-    return ((float(xmin), float(ymin)), (float(xmax), float(ymax)))
-
-
-_TRAIN_REQUIRED = ("manifest", "classes", "embeddings")
-_TRAIN_OPTIONAL = ("seed", "epochs", "steps_per_epoch", "lr", "beta1", "beta2",
-                   "eps", "precision", "voxel_size", "encoder_widths",
-                   "prototypes", "attention_dim", "inv_temperature", "use_dcr",
-                   "normalize_anchors", "inference_temperature",
-                   "points_per_model")
-
-_TRAIN_DEFAULTS = {
-    "seed": 0, "epochs": 200, "steps_per_epoch": 4, "lr": 1e-3, "beta1": 0.9,
-    "beta2": 0.999, "eps": 1e-8, "precision": "float64", "voxel_size": 0.05,
-    "encoder_widths": [32, 64, 96], "prototypes": 128, "attention_dim": 16,
-    "inv_temperature": 0.5, "use_dcr": True, "normalize_anchors": False,
-    "inference_temperature": 1.0,
-}
-
-
 def _is_int(value) -> bool:
     # JSON true/false load as bool, which Python counts as int
     return isinstance(value, int) and not isinstance(value, bool)
@@ -179,13 +134,16 @@ def _is_xy_pair(value) -> bool:
 
 # (test, description) per JSON value type
 _INT = (_is_int, "an integer")
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 _NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 _NUMBER_OR_NULL = (lambda v: v is None or _is_number(v), "a finite number or null")
 _STRING = (lambda v: isinstance(v, str), "a string")
+_PRECISION = (lambda v: v in ("float64", "float32"), '"float64" or "float32"')
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
-_INT_LIST = (lambda v: isinstance(v, list) and all(_is_int(w) for w in v),
-             "a list of integers")
+_WIDTHS = (lambda v: isinstance(v, list) and len(v) > 0 and all(_is_int(w) and w >= 1 for w in v),
+           "a non-empty list of positive integers")
 _STRING_LIST = (lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v),
                 "a list of strings")
 _OBJECT_LIST = (lambda v: isinstance(v, list) and all(isinstance(w, dict) for w in v),
@@ -193,23 +151,53 @@ _OBJECT_LIST = (lambda v: isinstance(v, list) and all(isinstance(w, dict) for w 
 _XY_BOUNDS = (lambda v: isinstance(v, list) and len(v) == 2 and all(_is_xy_pair(p) for p in v),
               "a list of two [x, y] pairs of finite numbers")
 
-_TRAIN_TYPES = {
-    **dict.fromkeys(("seed", "epochs", "steps_per_epoch", "prototypes", "attention_dim",
-                     "points_per_model"), _INT),
-    **dict.fromkeys(("lr", "beta1", "beta2", "eps", "voxel_size", "inv_temperature",
-                     "inference_temperature"), _NUMBER),
-    "use_dcr": _BOOL, "normalize_anchors": _BOOL, "encoder_widths": _INT_LIST,
+# A schema maps each key of a JSON object to (type, default). A key whose
+# default is _REQUIRED must be given; one whose default is _UNSET stays
+# absent when it is not given.
+_REQUIRED = object()
+_UNSET = object()
+
+_MANIFEST_SCHEMA = {
+    "models": (_OBJECT_LIST, _REQUIRED),
+    "seed": (_INT, 0),
+    "num_scenes": (_INT, 1),
+    "points_per_model": (_POSITIVE_INT, 8196),
+    "xy_bounds": (_XY_BOUNDS, [[0.0, 0.0], [4.0, 4.0]]),
+    "floor_percentile": (_NUMBER, 1.0),
+    "floor_z": (_NUMBER_OR_NULL, None),
+    "backgrounds": (_STRING_LIST, []),
+    "augment": (_OBJECT, {}),  # keys, types and defaults: scene.AugmentConfig
 }
-_MANIFEST_TYPES = {
-    "models": _OBJECT_LIST,
-    "seed": _INT, "num_scenes": _INT, "points_per_model": _INT,
-    "floor_percentile": _NUMBER, "floor_z": _NUMBER_OR_NULL, "xy_bounds": _XY_BOUNDS,
-    "backgrounds": _STRING_LIST, "augment": _OBJECT,
+_MODEL_SCHEMA = {
+    "path": (_STRING, _REQUIRED),
+    "class_id": (_INT, _REQUIRED),
+    "name": (_STRING, _UNSET),
+    "negative": (_BOOL, _UNSET),
+    "height": (_NUMBER_OR_NULL, _UNSET),
 }
-_MODEL_TYPES = {"path": _STRING, "class_id": _INT, "name": _STRING, "negative": _BOOL,
-                "height": _NUMBER_OR_NULL}
-_AUGMENT_TYPES = {**dict.fromkeys(_AUGMENT_KEYS, _NUMBER),
-                  "crop_anchor_min": _INT, "crop_anchor_max": _INT}
+# Plus the optimizer keys, typed and defaulted by objective.TrainConfig.
+# inference_temperature is accepted and unread: infer --temperature sets it.
+_TRAIN_SCHEMA = {
+    "manifest": (_STRING, _REQUIRED),
+    "classes": (_STRING, _REQUIRED),
+    "embeddings": (_STRING, _REQUIRED),
+    "precision": (_PRECISION, "float64"),
+    "voxel_size": (_POSITIVE, 0.05),
+    "encoder_widths": (_WIDTHS, [32, 64, 96]),
+    "prototypes": (_POSITIVE_INT, 128),
+    "attention_dim": (_POSITIVE_INT, 16),
+    "inv_temperature": (_NUMBER, 0.5),
+    "normalize_anchors": (_BOOL, False),
+    "inference_temperature": (_NUMBER, 1.0),
+    "points_per_model": (_POSITIVE_INT, _UNSET),  # unset: the manifest's
+}
+
+
+def _dataclass_schema(cls) -> dict:
+    """Schema entries for the fields of a dataclass, each typed and
+    defaulted by the field's default value."""
+    kinds = {int: _INT, float: _NUMBER, bool: _BOOL}
+    return {f.name: (kinds[type(f.default)], f.default) for f in dataclasses.fields(cls)}
 
 
 def _check_types(data: dict, types: dict, where: str) -> None:
@@ -220,14 +208,31 @@ def _check_types(data: dict, types: dict, where: str) -> None:
             raise ConfigError(f"{where}: {key} must be {kind}, got {data[key]!r}")
 
 
-def load_train_config(path):
-    data = _load_json(path, "train config")
-    _require_keys(data, _TRAIN_REQUIRED, _TRAIN_OPTIONAL, "train config")
-    _check_types(data, _TRAIN_TYPES, "train config")
-    resolved = dict(_TRAIN_DEFAULTS)
+def _parse(data: dict, schema: dict, where: str) -> dict:
+    """A new dict of data with the defaults of schema filled in; ConfigError
+    for an unknown key, a missing required key or a value of the wrong type."""
+    unknown = set(data) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [key for key, (_, default) in schema.items()
+               if default is _REQUIRED and key not in data]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    _check_types(data, {key: kind for key, (kind, _) in schema.items()}, where)
+    resolved = {key: default for key, (_, default) in schema.items()
+                if default is not _REQUIRED and default is not _UNSET}
     resolved.update(data)
-    resolved["_base"] = str(Path(path).resolve().parent)
     return resolved
+
+
+def load_train_config(path):
+    """Parse and validate a train config; "_base" is its directory."""
+    from .objective import TrainConfig
+
+    schema = {**_TRAIN_SCHEMA, **_dataclass_schema(TrainConfig)}
+    cfg = _parse(_load_json(path, "train config"), schema, "train config")
+    cfg["_base"] = str(Path(path).resolve().parent)
+    return cfg
 
 
 def _read_class_list(path):
@@ -268,22 +273,19 @@ def cmd_simulate(args) -> int:
     seed = manifest["seed"] if args.seed is None else args.seed
     points = manifest["points_per_model"] if args.points is None else args.points
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     resolved = {k: v for k, v in manifest.items() if not k.startswith("_")}
     resolved.update({"seed": seed, "points_per_model": points, "out": str(out_dir)})
     _log_config("simulate", resolved)
-    _write_resolved(out_dir, resolved)
-
     models, backgrounds, names = _manifest_models(manifest, points, seed)
-    augment = _manifest_augment(manifest)
-    bounds = _xy_bounds(manifest)
 
+    # a rejected config leaves no run directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_resolved(out_dir, resolved)
     for i in range(manifest["num_scenes"]):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 15485863, i]))
         scene = compose_step_scene(
-            models, augment, rng, backgrounds=backgrounds or None,
-            xy_bounds=bounds, floor_z=manifest["floor_z"],
+            models, manifest["_augment"], rng, backgrounds=backgrounds or None,
+            xy_bounds=manifest["_bounds"], floor_z=manifest["floor_z"],
             floor_percentile=manifest["floor_percentile"],
         )
         geometry.save_points(out_dir / f"scene_{i:03d}.txt", scene.cloud)
@@ -343,33 +345,27 @@ def cmd_train(args) -> int:
         cfg["epochs"] = args.epochs
     base = Path(cfg["_base"])
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     resolved = {k: v for k, v in cfg.items() if not k.startswith("_")}
     resolved["out"] = str(out_dir)
     _log_config("train", resolved)
-    _write_resolved(out_dir, resolved)
 
+    try:
+        train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
+    except ValueError as exc:
+        raise ConfigError(f"train config: {exc}") from None
     manifest = load_manifest(base / cfg["manifest"])
     points = cfg.get("points_per_model", manifest["points_per_model"])
     class_names = _read_class_list(base / cfg["classes"])
-    models, backgrounds, _ = _manifest_models(manifest, points, cfg["seed"])
     encoder, bank, table = _build_components(cfg, base / cfg["embeddings"], class_names)
+    models, backgrounds, _ = _manifest_models(manifest, points, cfg["seed"])
 
-    try:
-        train_cfg = TrainConfig(
-            epochs=cfg["epochs"], steps_per_epoch=cfg["steps_per_epoch"],
-            lr=cfg["lr"], beta1=cfg["beta1"], beta2=cfg["beta2"], eps=cfg["eps"],
-            seed=cfg["seed"], use_dcr=cfg["use_dcr"], precision=cfg["precision"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train config: {exc}") from None
-
+    # a rejected config leaves no run directory behind
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_resolved(out_dir, resolved)
     with open(out_dir / "loss.log", "w", encoding="utf-8") as log:
         losses = train(
-            models, table, encoder, bank, train_cfg,
-            augment=_manifest_augment(manifest),
-            backgrounds=backgrounds or None, xy_bounds=_xy_bounds(manifest),
+            models, table, encoder, bank, train_cfg, augment=manifest["_augment"],
+            backgrounds=backgrounds or None, xy_bounds=manifest["_bounds"],
             floor_z=manifest["floor_z"], floor_percentile=manifest["floor_percentile"],
             log_file=log,
         )

@@ -256,8 +256,8 @@ def _parse_point_lines(path, text) -> PointCloud:
         try:
             positions.append([float(fields[0]), float(fields[1]), float(fields[2])])
             if len(fields) == 4:
-                labels.append(int(fields[3]))
-        except ValueError:
+                labels.append(np.int64(int(fields[3])))
+        except (ValueError, OverflowError):  # not a number, or a label wider than int64
             raise ValueError(f"{path} line {lineno}: bad point {line!r}") from None
     if labels and len(labels) != len(positions):
         raise ValueError(f"{path}: some points carry labels and some do not")

@@ -37,7 +37,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     use_dcr: bool = True
-    precision: str = "float64"
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -51,12 +50,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if self.precision not in ("float64", "float32"):
-            raise ValueError("precision must be float64 or float32")
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "float64" else np.float32
 
 
 def contrastive_loss(feats: np.ndarray, labels: np.ndarray, table: AnchorTable):

@@ -92,14 +92,22 @@ class TestSimulate:
         assert f"config error: {where}: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_negative_num_scenes_config_error(self, toy_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_scenes", -1, "manifest.num_scenes must be >= 0"),
+        ("points_per_model", 0, "manifest: points_per_model must be a positive integer"),
+        ("xy_bounds", [[0.0, 3.0], [3.0, 0.0]], "manifest: xy_bounds minimum"),
+        ("augment.scale_min", 1.2, "manifest.augment: need 0 < scale_min <= scale_max"),
+    ], ids=["num_scenes", "points_per_model", "xy_bounds", "augment.scale_min"])
+    def test_negative_num_scenes_config_error(self, toy_dir, tmp_path, capsys, field, value,
+                                              message):
         data = json.loads((toy_dir / "manifest.json").read_text())
-        data["num_scenes"] = -1
+        section, _, key = field.rpartition(".")
+        (data[section] if section else data)[key] = value
         bad = tmp_path / "bad_manifest.json"
         bad.write_text(json.dumps(data))
         code = run_cli(["simulate", "--manifest", bad, "-o", tmp_path / "run"])
         assert code == 2
-        assert "config error: manifest.num_scenes must be >= 0" in capsys.readouterr().err
+        assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_floor_z_sets_every_model_floor(self, toy_dir, tmp_path):
@@ -182,7 +190,10 @@ class TestTrain:
         assert "config error" in err and "'bookshelf'" in err
 
     @pytest.mark.parametrize("field, value", [
-        ("lr", float("inf")), ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0)])
+        ("lr", float("inf")), ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0), ("lr", -1),
+        ("precision", "float16"), ("encoder_widths", []), ("encoder_widths", [32, 0]),
+        ("prototypes", 0), ("attention_dim", 0), ("voxel_size", 0), ("voxel_size", -0.05),
+        ("points_per_model", 0)])
     def test_bad_optimizer_setting_config_error(self, toy_dir, trained_run, tmp_path, capsys,
                                                 field, value):
         # one step: the bad setting would write a non-finite checkpoint
@@ -192,11 +203,12 @@ class TestTrain:
         path.write_text(json.dumps(cfg))
         assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
         assert f"config error: train config: {field}" in capsys.readouterr().err
-        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("lr", "abc"), ("epochs", "2"), ("steps_per_epoch", True),
-        ("encoder_widths", [32, "64"]), ("use_dcr", "false")])
+        ("encoder_widths", [32, "64"]), ("use_dcr", "false"), ("manifest", 5),
+        ("classes", ["a"])])
     def test_wrong_json_type_config_error(self, toy_dir, trained_run, tmp_path, capsys,
                                           field, value):
         cfg = json.loads((toy_dir / "quick_train.json").read_text())
@@ -249,6 +261,73 @@ class TestTrain:
         assert run_cli(["train", "--config", bad, "-o", tmp_path / "run"]) == 2
 
 
+class TestConfigLoaders:
+    """The resolved dicts that resolved_config.json and the checkpoint's
+    meta are written from; json.dumps also tells 1 from 1.0."""
+
+    TOY_MANIFEST = {
+        "augment": {"crop_anchor_max": 5, "crop_anchor_min": 2, "crop_prob": 1.0,
+                    "overlap_keep_prob": 0.5, "overlap_voxel": 0.05, "scale_max": 1.1,
+                    "scale_min": 0.9},
+        "backgrounds": [], "floor_percentile": 1.0, "floor_z": None,
+        "models": [
+            {"class_id": 0, "name": "sphere", "negative": False, "path": "sphere.off"},
+            {"class_id": 1, "name": "box", "negative": False, "path": "box.off"},
+            {"class_id": 2, "name": "tube", "negative": False, "path": "tube.off"},
+            {"class_id": 3, "name": "cone", "negative": True, "path": "cone.off"}],
+        "num_scenes": 2, "points_per_model": 128, "seed": 7,
+        "xy_bounds": [[0.0, 0.0], [3.0, 3.0]],
+    }
+    TOY_TRAIN = {
+        "attention_dim": 16, "beta1": 0.9, "beta2": 0.999, "classes": "classes.txt",
+        "embeddings": "embeddings.txt", "encoder_widths": [32, 64, 96], "epochs": 30,
+        "eps": 1e-08, "inference_temperature": 1.0, "inv_temperature": 4.0, "lr": 0.003,
+        "manifest": "manifest.json", "normalize_anchors": False, "precision": "float64",
+        "prototypes": 128, "seed": 0, "steps_per_epoch": 20, "use_dcr": True,
+        "voxel_size": 0.05,
+    }
+    DEFAULT_MANIFEST = {
+        "augment": {}, "backgrounds": [], "floor_percentile": 1.0, "floor_z": None,
+        "models": [{"class_id": 0, "path": "a.off"}], "num_scenes": 1,
+        "points_per_model": 8196, "seed": 0, "xy_bounds": [[0.0, 0.0], [4.0, 4.0]],
+    }
+    DEFAULT_TRAIN = {
+        "attention_dim": 16, "beta1": 0.9, "beta2": 0.999, "classes": "c.txt",
+        "embeddings": "e.txt", "encoder_widths": [32, 64, 96], "epochs": 200, "eps": 1e-08,
+        "inference_temperature": 1.0, "inv_temperature": 0.5, "lr": 0.001,
+        "manifest": "m.json", "normalize_anchors": False, "precision": "float64",
+        "prototypes": 128, "seed": 0, "steps_per_epoch": 4, "use_dcr": True,
+        "voxel_size": 0.05,
+    }
+
+    @staticmethod
+    def resolved(loaded, directory):
+        assert loaded["_base"] == str(directory.resolve())
+        return json.dumps({k: v for k, v in loaded.items() if not k.startswith("_")},
+                          sort_keys=True)
+
+    def test_toy_files(self, toy_dir):
+        from scenehull.cli import load_manifest, load_train_config
+
+        manifest = load_manifest(toy_dir / "manifest.json")
+        assert self.resolved(manifest, toy_dir) == json.dumps(self.TOY_MANIFEST, sort_keys=True)
+        cfg = load_train_config(toy_dir / "train_config.json")
+        assert self.resolved(cfg, toy_dir) == json.dumps(self.TOY_TRAIN, sort_keys=True)
+
+    def test_defaults(self, tmp_path):
+        from scenehull.cli import load_manifest, load_train_config
+
+        (tmp_path / "m.json").write_text(json.dumps({"models": [{"path": "a.off",
+                                                                 "class_id": 0}]}))
+        (tmp_path / "c.json").write_text(json.dumps(
+            {"manifest": "m.json", "classes": "c.txt", "embeddings": "e.txt"}))
+        manifest = load_manifest(tmp_path / "m.json")
+        assert self.resolved(manifest, tmp_path) == json.dumps(self.DEFAULT_MANIFEST,
+                                                               sort_keys=True)
+        cfg = load_train_config(tmp_path / "c.json")
+        assert self.resolved(cfg, tmp_path) == json.dumps(self.DEFAULT_TRAIN, sort_keys=True)
+
+
 class TestInferEval:
     def test_infer_then_eval(self, toy_dir, trained_run, tmp_path):
         scenes = tmp_path / "scenes"
@@ -287,6 +366,14 @@ class TestInferEval:
         probs_path = tmp_path / "p.txt"
         np.savetxt(probs_path, np.eye(2)[[0]])
         assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path]) == 2
+
+    def test_label_wider_than_int64_config_error(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("0 0 0 1\n0 0 0 99999999999999999999\n")
+        probs_path = tmp_path / "p.txt"
+        np.savetxt(probs_path, np.eye(2))
+        assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path]) == 2
+        assert f"config error: {gt_path} line 2: bad point" in capsys.readouterr().err
 
     def test_zero_shot_extension(self, toy_dir, trained_run, tmp_path):
         scenes = tmp_path / "scenes"

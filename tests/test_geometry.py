@@ -380,8 +380,8 @@ def line_loop_load_points(path) -> PointCloud:
             try:
                 positions.append([float(fields[0]), float(fields[1]), float(fields[2])])
                 if len(fields) == 4:
-                    labels.append(int(fields[3]))
-            except ValueError:
+                    labels.append(np.int64(int(fields[3])))
+            except (ValueError, OverflowError):
                 raise ValueError(f"{path} line {lineno}: bad point {line!r}") from None
     if labels and len(labels) != len(positions):
         raise ValueError(f"{path}: some points carry labels and some do not")
