@@ -134,6 +134,7 @@ def _is_xy_pair(value) -> bool:
 
 # (test, description) per JSON value type
 _INT = (_is_int, "an integer")
+_NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 _POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 _NUMBER = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
@@ -159,7 +160,7 @@ _UNSET = object()
 
 _MANIFEST_SCHEMA = {
     "models": (_OBJECT_LIST, _REQUIRED),
-    "seed": (_INT, 0),
+    "seed": (_NON_NEGATIVE_INT, 0),
     "num_scenes": (_INT, 1),
     "points_per_model": (_POSITIVE_INT, 8196),
     "xy_bounds": (_XY_BOUNDS, [[0.0, 0.0], [4.0, 4.0]]),
@@ -383,7 +384,7 @@ def cmd_infer(args) -> int:
     from . import geometry
     from .anchors import class_vectors
     from .checkpoint import load_checkpoint
-    from .objective import infer_scene
+    from .objective import infer_voxels
 
     resolved = {"checkpoint": str(args.checkpoint), "scene": str(args.scene),
                 "out": str(args.out), "temperature": args.temperature,
@@ -402,15 +403,17 @@ def cmd_infer(args) -> int:
             table.add_class(name, vector)
 
     cloud = geometry.load_points(args.scene)
-    probs = infer_scene(cloud, ckpt.encoder, ckpt.bank, table,
-                        temperature=args.temperature)
+    probs, point_to_voxel = infer_voxels(cloud, ckpt.encoder, ckpt.bank, table,
+                                         temperature=args.temperature)
+    # one line per point; the points of a voxel share its line, formatted once
     fmt = " ".join(["%.17g"] * probs.shape[1]) + "\n"
+    lines = [fmt % row for row in zip(*probs.T.tolist())]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(fmt % row for row in zip(*probs.T.tolist()))
+        fh.writelines(map(lines.__getitem__, point_to_voxel.tolist()))
     classes_path = Path(args.out).with_suffix(".classes.txt")
     with open(classes_path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{name}\n" for name in table.class_names))
-    print(f"wrote {probs.shape[0]}x{probs.shape[1]} probabilities to {args.out}")
+    print(f"wrote {len(point_to_voxel)}x{probs.shape[1]} probabilities to {args.out}")
     return EXIT_OK
 
 
@@ -488,7 +491,21 @@ def cmd_toy(args) -> int:
 # Argument parsing / dispatch
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """argparse type: an integer of at least low; argparse exits 2 naming
+    the flag."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
+    non_negative, positive = _int_at_least(0), _int_at_least(1)
     parser = argparse.ArgumentParser(
         prog="scenehull",
         description="Simulate crowded point-cloud scenes, train hull-regularized "
@@ -500,21 +517,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Poisson-disk sample a mesh surface")
     p.add_argument("mesh")
-    p.add_argument("-n", type=int, default=8196, help="number of points (default 8196)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-n", type=positive, default=8196, help="number of points (default 8196)")
+    p.add_argument("--seed", type=non_negative, default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("simulate", help="compose labeled scenes from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override manifest seed")
-    p.add_argument("--points", type=int, default=None, help="override points per model")
+    p.add_argument("--seed", type=non_negative, default=None, help="override manifest seed")
+    p.add_argument("--points", type=positive, default=None, help="override points per model")
     p.add_argument("-o", "--out", required=True, help="output run directory")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train encoder, prototype bank and anchors")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=non_negative, default=None, help="override config seed")
     p.add_argument("--epochs", type=int, default=None, help="override config epochs")
     p.add_argument("-o", "--out", required=True, help="output run directory")
     p.set_defaults(func=cmd_train)
@@ -540,15 +557,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeat", type=int, default=5, help="number of seeds")
+    p.add_argument("--seed", type=non_negative, default=0)
+    p.add_argument("--repeat", type=positive, default=5, help="number of seeds")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("toy", help="write the procedural toy dataset")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--points", type=int, default=512)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--scenes", type=int, default=6)
+    p.add_argument("--points", type=positive, default=512)
+    p.add_argument("--seed", type=non_negative, default=7)
+    p.add_argument("--scenes", type=non_negative, default=6)
     p.set_defaults(func=cmd_toy)
     return parser
 

@@ -50,6 +50,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def contrastive_loss(feats: np.ndarray, labels: np.ndarray, table: AnchorTable):
@@ -282,15 +284,16 @@ def train(
     return epoch_losses
 
 
-def infer_scene(
+def infer_voxels(
     cloud,
     encoder: SparseEncoder,
     bank: PrototypeBank | None,
     table: AnchorTable,
     temperature: float = 1.0,
-) -> np.ndarray:
-    """Per-point class distributions for an unlabeled scene, (N, C). Points
-    in a voxel share its feature, so each reads its voxel's row.
+) -> tuple:
+    """Per-voxel class distributions for an unlabeled scene: a (V, C) array
+    and the (N,) index of each point's voxel row. Points in a voxel share
+    its feature, so each point's distribution is its voxel's row.
 
     The encoder keeps no training cache, and the hull and the anchors read
     blocks of BLOCK_ROWS voxel rows into one (V, C) array, so no (V, K)
@@ -309,14 +312,19 @@ def infer_scene(
     edges = list(range(0, v, BLOCK_ROWS)) + [v]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
-    probs = None
+    blocks = []
     for lo, hi in zip(edges, edges[1:]):
         block = feats[lo:hi]
         # centered readout: the prototype centroid is a constant that
         # training uses as a class bias; see hull.py
         projected = bank.project(block, centered=True) if bank is not None else block
-        block_probs = class_probs(projected, table, temperature=temperature)
-        if probs is None:
-            probs = np.empty((v, block_probs.shape[1]), dtype=block_probs.dtype)
-        probs[lo:hi] = block_probs
-    return probs[grid.point_to_voxel]
+        blocks.append(class_probs(projected, table, temperature=temperature))
+    return np.concatenate(blocks), grid.point_to_voxel
+
+
+def infer_scene(cloud, encoder: SparseEncoder, bank: PrototypeBank | None, table: AnchorTable,
+                temperature: float = 1.0) -> np.ndarray:
+    """Per-point class distributions for an unlabeled scene, (N, C): each
+    point's row of infer_voxels."""
+    probs, point_to_voxel = infer_voxels(cloud, encoder, bank, table, temperature)
+    return probs[point_to_voxel]

@@ -20,6 +20,16 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def assert_flag_rejected(args, flag, capsys):
+    """argparse exits 2 naming the flag before the command runs."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}:" in captured.err
+    assert captured.out == ""
+
+
 @pytest.fixture(scope="module")
 def toy_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("toy")
@@ -45,6 +55,12 @@ class TestSample:
         assert run_cli(["sample", toy_dir / "box.off", "-n", 64, "--seed", 5, "-o", a]) == 0
         assert run_cli(["sample", toy_dir / "box.off", "-n", 64, "--seed", 5, "-o", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("-n", 0), ("-n", "x"), ("--seed", -1)])
+    def test_out_of_range_flag_exit_2(self, toy_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "pts.txt"
+        assert_flag_rejected(["sample", toy_dir / "box.off", flag, value, "-o", out], flag, capsys)
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -97,7 +113,8 @@ class TestSimulate:
         ("points_per_model", 0, "manifest: points_per_model must be a positive integer"),
         ("xy_bounds", [[0.0, 3.0], [3.0, 0.0]], "manifest: xy_bounds minimum"),
         ("augment.scale_min", 1.2, "manifest.augment: need 0 < scale_min <= scale_max"),
-    ], ids=["num_scenes", "points_per_model", "xy_bounds", "augment.scale_min"])
+        ("seed", -1, "manifest: seed must be a non-negative integer"),
+    ], ids=["num_scenes", "points_per_model", "xy_bounds", "augment.scale_min", "seed"])
     def test_negative_num_scenes_config_error(self, toy_dir, tmp_path, capsys, field, value,
                                               message):
         data = json.loads((toy_dir / "manifest.json").read_text())
@@ -108,6 +125,12 @@ class TestSimulate:
         code = run_cli(["simulate", "--manifest", bad, "-o", tmp_path / "run"])
         assert code == 2
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", -1), ("--points", 0)])
+    def test_out_of_range_flag_exit_2(self, toy_dir, tmp_path, capsys, flag, value):
+        assert_flag_rejected(["simulate", "--manifest", toy_dir / "manifest.json",
+                              flag, value, "-o", tmp_path / "run"], flag, capsys)
         assert not (tmp_path / "run").exists()
 
     def test_floor_z_sets_every_model_floor(self, toy_dir, tmp_path):
@@ -193,7 +216,7 @@ class TestTrain:
         ("lr", float("inf")), ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0), ("lr", -1),
         ("precision", "float16"), ("encoder_widths", []), ("encoder_widths", [32, 0]),
         ("prototypes", 0), ("attention_dim", 0), ("voxel_size", 0), ("voxel_size", -0.05),
-        ("points_per_model", 0)])
+        ("points_per_model", 0), ("seed", -1)])
     def test_bad_optimizer_setting_config_error(self, toy_dir, trained_run, tmp_path, capsys,
                                                 field, value):
         # one step: the bad setting would write a non-finite checkpoint
@@ -217,6 +240,11 @@ class TestTrain:
         path.write_text(json.dumps(cfg))
         assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
         assert f"config error: train config: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_out_of_range_flag_exit_2(self, toy_dir, trained_run, tmp_path, capsys):
+        assert_flag_rejected(["train", "--config", toy_dir / "quick_train.json",
+                              "--seed", -1, "-o", tmp_path / "run"], "--seed", capsys)
         assert not (tmp_path / "run").exists()
 
     def test_non_finite_parameters_diverged(self, toy_dir, trained_run, tmp_path, capsys):
@@ -478,6 +506,22 @@ class TestGradcheckCommand:
         assert run_cli(["gradcheck", "--seed", 0, "--repeat", 1]) == 0
         out = capsys.readouterr().out
         assert "gradient checks passed" in out
+
+    @pytest.mark.parametrize("flag, value", [("--seed", -1), ("--repeat", 0)])
+    def test_out_of_range_flag_exit_2(self, capsys, flag, value):
+        assert_flag_rejected(["gradcheck", flag, value], flag, capsys)
+
+
+class TestToyCommand:
+    @pytest.mark.parametrize("flag, value", [("--points", 0), ("--scenes", -1), ("--seed", -1)])
+    def test_out_of_range_flag_exit_2(self, tmp_path, capsys, flag, value):
+        assert_flag_rejected(["toy", "-o", tmp_path / "toy", flag, value], flag, capsys)
+        assert not (tmp_path / "toy").exists()
+
+    def test_zero_scenes_allowed(self, tmp_path):
+        assert run_cli(["toy", "-o", tmp_path / "toy", "--points", 64, "--scenes", 0]) == 0
+        manifest = json.loads((tmp_path / "toy" / "manifest.json").read_text())
+        assert manifest["num_scenes"] == 0
 
 
 class TestSubprocessEntry:

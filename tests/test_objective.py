@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from scenehull.anchors import AnchorTable
+from scenehull.checkpoint import save_checkpoint
+from scenehull.cli import main as cli_main
 from scenehull.encoder import BLOCK_ROWS, SparseEncoder
-from scenehull.geometry import PointCloud, poisson_disk_sample
+from scenehull.geometry import PointCloud, load_points, poisson_disk_sample, save_points
 from scenehull.hull import PrototypeBank
 from scenehull.objective import (
     Adam,
@@ -20,6 +22,7 @@ from scenehull.objective import (
     compose_step_scene,
     contrastive_loss,
     infer_scene,
+    infer_voxels,
     train,
 )
 from scenehull.scene import AugmentConfig
@@ -392,6 +395,54 @@ class TestBlockedInferScene:
         finally:
             tracemalloc.stop()
         assert peak < num_voxels * bank.num_prototypes * 8
+
+
+def crowded_voxel_cloud(num_voxels, voxel_size, seed, copies=3):
+    """distinct_voxel_cloud with `copies` points in each voxel, spread
+    within its cell, in shuffled order."""
+    centres = distinct_voxel_cloud(num_voxels, voxel_size, seed).positions
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(-0.4, 0.4, size=(copies, *centres.shape)) * voxel_size
+    positions = (centres[None] + offsets).reshape(-1, 3)
+    return PointCloud(positions[rng.permutation(len(positions))])
+
+
+class TestInferVoxels:
+    """infer_voxels returns the per-voxel rows and each point's voxel;
+    infer_scene is their gather."""
+
+    def test_shapes(self):
+        encoder, bank, table = TestBlockedInferScene.pieces()
+        cloud = crowded_voxel_cloud(40, encoder.voxel_size, seed=2)
+        probs, point_to_voxel = infer_voxels(cloud, encoder, bank, table)
+        assert probs.shape == (40, table.num_classes)
+        assert point_to_voxel.shape == (len(cloud),) == (120,)
+        assert np.array_equal(np.bincount(point_to_voxel), np.full(40, 3))
+
+    @pytest.mark.parametrize("num_voxels", [1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("with_bank", [True, False])
+    def test_infer_scene_is_gather(self, num_voxels, with_bank):
+        encoder, bank, table = TestBlockedInferScene.pieces()
+        bank = bank if with_bank else None
+        cloud = crowded_voxel_cloud(num_voxels, encoder.voxel_size, seed=num_voxels)
+        probs, point_to_voxel = infer_voxels(cloud, encoder, bank, table, temperature=0.5)
+        assert len(probs) == num_voxels
+        assert np.array_equal(infer_scene(cloud, encoder, bank, table, temperature=0.5),
+                              probs[point_to_voxel])
+
+    def test_points_of_a_voxel_write_identical_lines(self, tmp_path):
+        encoder, bank, table = TestBlockedInferScene.pieces()
+        save_checkpoint(tmp_path / "checkpoint.bin", encoder, bank, table)
+        save_points(tmp_path / "scene.txt", crowded_voxel_cloud(300, encoder.voxel_size, seed=8))
+        cloud = load_points(tmp_path / "scene.txt")
+        assert cli_main(["infer", "--checkpoint", str(tmp_path / "checkpoint.bin"),
+                         "--scene", str(tmp_path / "scene.txt"),
+                         "-o", str(tmp_path / "probs.txt")]) == 0
+        lines = (tmp_path / "probs.txt").read_text().splitlines()
+        assert len(lines) == len(cloud)
+        _, point_to_voxel = infer_voxels(cloud, encoder, bank, table)
+        for voxel in range(300):
+            assert len({lines[i] for i in np.flatnonzero(point_to_voxel == voxel)}) == 1
 
 
 class TestComposeStepScene:
