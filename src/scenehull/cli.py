@@ -171,7 +171,7 @@ _MANIFEST_SCHEMA = {
 }
 _MODEL_SCHEMA = {
     "path": (_STRING, _REQUIRED),
-    "class_id": (_INT, _REQUIRED),
+    "class_id": (_NON_NEGATIVE_INT, _REQUIRED),
     "name": (_STRING, _UNSET),
     "negative": (_BOOL, _UNSET),
     "height": (_NUMBER_OR_NULL, _UNSET),
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate crowded point-cloud scenes, train hull-regularized "
                     "features against language anchors, and evaluate salient detection.",
     )
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=positive, default=1,
                         help="BLAS thread cap (default 1 for determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -572,9 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads and args.threads > 0:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, str(args.threads))
+    for var in _THREAD_VARS:
+        os.environ.setdefault(var, str(args.threads))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -178,9 +178,9 @@ class ConvLayer:
         return self.weight.shape[2]
 
 
-def sparse_conv_forward(grid: SparseFeatureGrid, layer: ConvLayer, relu: bool = True) -> np.ndarray:
+def sparse_conv_forward(grid: SparseFeatureGrid, layer: ConvLayer) -> np.ndarray:
     """out[v] = bias + sum over offsets o of feat[v + o] @ W[o], active
-    neighbors only, optionally followed by ReLU.
+    neighbors only: the pre-activation, which forward_grid rectifies in place.
 
     Runs over blocks of BLOCK_ROWS output rows; each row adds its terms in
     offset order, bit-identical to one unblocked pass per offset (see the
@@ -208,7 +208,7 @@ def sparse_conv_forward(grid: SparseFeatureGrid, layer: ConvLayer, relu: bool = 
                 out[rows_out[lo:hi]] += (feats[rows_in[[lo, lo]]] @ layer.weight[o])[:1]
             else:
                 out[rows_out[lo:hi]] += feats[rows_in[lo:hi]] @ layer.weight[o]
-    return np.maximum(out, 0.0) if relu else out
+    return out
 
 
 class SparseEncoder:
@@ -233,15 +233,15 @@ class SparseEncoder:
     def create(
         cls,
         widths=(32, 64, 96),
-        in_width: int = 1,
         voxel_size: float = 0.05,
         seed: int = 0,
         dtype=np.float64,
     ) -> "SparseEncoder":
-        """Fresh parameters, uniform in +-sqrt(1 / (27 * c_in))."""
+        """Fresh parameters, uniform in +-sqrt(1 / (27 * c_in)); the first
+        layer reads voxelize's width-1 feature."""
         rng = np.random.default_rng(seed)
         layers = []
-        c_in = in_width
+        c_in = 1
         for c_out in widths:
             bound = np.sqrt(1.0 / (NUM_OFFSETS * c_in))
             weight = rng.uniform(-bound, bound, size=(NUM_OFFSETS, c_in, c_out)).astype(dtype)
@@ -273,7 +273,7 @@ class SparseEncoder:
         for i, layer in enumerate(self.layers):
             if cache:
                 inputs.append(feats)
-            feats = sparse_conv_forward(grid._with_feats(feats), layer, relu=False)
+            feats = sparse_conv_forward(grid._with_feats(feats), layer)
             if i < last:
                 np.maximum(feats, 0.0, out=feats)
         self._cache = {"grid": grid, "inputs": inputs} if cache else None

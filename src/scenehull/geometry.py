@@ -19,6 +19,10 @@ from scipy.spatial import cKDTree
 
 # Faces with area at or below this are dropped at load time.
 DEGENERATE_AREA = 1e-12
+# Poisson-disk sample elimination: candidates per kept point, and the
+# exponent of the pair weight.
+OVERSAMPLE = 4
+WEIGHT_EXPONENT = 8.0
 
 
 class MeshFormatError(ValueError):
@@ -65,12 +69,12 @@ class TriangleMesh:
 
 @dataclass
 class PointCloud:
-    """Points in meters with optional per-point class/instance/source data."""
+    """Points in meters with optional per-point class labels and instance
+    ids (a simulated scene gives background points instance id -1)."""
 
     positions: np.ndarray            # (N, 3) float64
     labels: np.ndarray | None = None        # (N,) int64 class ids
     instance_ids: np.ndarray | None = None  # (N,) int64
-    source: np.ndarray | None = None        # (N,) int64 provenance flags
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
@@ -79,7 +83,7 @@ class PointCloud:
         if not np.isfinite(self.positions).all():
             raise ValueError("positions must be finite")
         n = len(self.positions)
-        for name in ("labels", "instance_ids", "source"):
+        for name in ("labels", "instance_ids"):
             arr = getattr(self, name)
             if arr is None:
                 continue
@@ -96,7 +100,6 @@ class PointCloud:
             self.positions.copy(),
             None if self.labels is None else self.labels.copy(),
             None if self.instance_ids is None else self.instance_ids.copy(),
-            None if self.source is None else self.source.copy(),
         )
 
     def select(self, index) -> "PointCloud":
@@ -105,7 +108,6 @@ class PointCloud:
             self.positions[index],
             None if self.labels is None else self.labels[index],
             None if self.instance_ids is None else self.instance_ids[index],
-            None if self.source is None else self.source[index],
         )
 
     def with_positions(self, positions: np.ndarray) -> "PointCloud":
@@ -114,7 +116,6 @@ class PointCloud:
             positions,
             None if self.labels is None else self.labels.copy(),
             None if self.instance_ids is None else self.instance_ids.copy(),
-            None if self.source is None else self.source.copy(),
         )
 
 
@@ -267,15 +268,12 @@ def _parse_point_lines(path, text) -> PointCloud:
     )
 
 
-def save_points(path, pc: PointCloud, include_labels: bool | None = None) -> None:
-    """Write the plain-text point format; %.17g round-trips float64 exactly."""
-    if include_labels is None:
-        include_labels = pc.labels is not None
-    if include_labels and pc.labels is None:
-        raise ValueError("cloud has no labels to write")
+def save_points(path, pc: PointCloud) -> None:
+    """Write the plain-text point format, with a label column exactly when
+    the cloud has labels; %.17g round-trips float64 exactly."""
     columns = pc.positions.T.tolist()
     fmt = "%.17g %.17g %.17g\n"
-    if include_labels:
+    if pc.labels is not None:
         columns.append(pc.labels.tolist())
         fmt = "%.17g %.17g %.17g %d\n"
     with open(path, "w", encoding="utf-8") as fh:
@@ -329,18 +327,11 @@ def poisson_radius(area: float, n: int) -> float:
     return math.sqrt(area / (2.0 * math.sqrt(3.0) * n))
 
 
-def poisson_disk_sample(
-    mesh: TriangleMesh,
-    n: int,
-    rng: np.random.Generator,
-    *,
-    oversample: int = 4,
-    weight_exponent: float = 8.0,
-) -> PointCloud:
+def poisson_disk_sample(mesh: TriangleMesh, n: int, rng: np.random.Generator) -> PointCloud:
     """Exactly n well-spread surface points by weighted sample elimination.
 
-    Oversamples ``oversample * n`` area-weighted points, weights each by
-    sum over neighbors within 2*r of (1 - d/(2r))**weight_exponent with
+    Oversamples OVERSAMPLE * n area-weighted points, weights each by sum
+    over neighbors within 2*r of (1 - d/(2r))**WEIGHT_EXPONENT with
     r = sqrt(area / (2*sqrt(3)*n)), then greedily removes the heaviest
     point (lowest index on ties) and subtracts its pair weights from its
     neighbors, until n remain (Yuksel, Eurographics 2015).
@@ -354,16 +345,13 @@ def poisson_disk_sample(
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    m = max(int(oversample) * n, n)
-    base = area_weighted_sample(mesh, m, rng)
-    if m == n:
-        return base
-    points = base.positions
+    m = OVERSAMPLE * n
+    points = area_weighted_sample(mesh, m, rng).positions
 
     radius = 2.0 * poisson_radius(surface_area(mesh), n)
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
-    pair_w = (1.0 - dist / radius) ** weight_exponent
+    pair_w = (1.0 - dist / radius) ** WEIGHT_EXPONENT
     # neighbor rows in CSR form; each row lists a neighbor once
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])

@@ -75,7 +75,7 @@ def check_dcr(seed: int) -> list:
     rng = np.random.default_rng(seed)
     bank = PrototypeBank.create(
         num_prototypes=5, feature_dim=4, attention_dim=3,
-        inv_temperature=0.7, seed=seed, require_overcomplete=True,
+        inv_temperature=0.7, seed=seed,
     )
     x = rng.standard_normal((3, 4))
     probe = rng.standard_normal((3, 4))
@@ -100,7 +100,7 @@ def check_dcr(seed: int) -> list:
 def check_encoder(seed: int) -> list:
     """Kernel and bias gradients of every conv layer on a tiny voxel set."""
     rng = np.random.default_rng(seed)
-    encoder = SparseEncoder.create(widths=(2, 3), in_width=1, voxel_size=0.1, seed=seed)
+    encoder = SparseEncoder.create(widths=(2, 3), voxel_size=0.1, seed=seed)
     cloud = _random_cloud(rng, 8, extent=0.15)  # <= 10 voxels
     probe = rng.standard_normal((len(cloud), encoder.feature_dim))
     # parameter perturbations leave the voxel grid untouched; build it once
@@ -143,7 +143,7 @@ def check_end_to_end(seed: int) -> list:
     then the centered readout's loss w.r.t. the encoder output and the bank
     and anchor tensors (the encoder chain below the features is shared)."""
     rng = np.random.default_rng(seed)
-    encoder = SparseEncoder.create(widths=(2, 3), in_width=1, voxel_size=0.1, seed=seed)
+    encoder = SparseEncoder.create(widths=(2, 3), voxel_size=0.1, seed=seed)
     bank = PrototypeBank.create(
         num_prototypes=5, feature_dim=3, attention_dim=2,
         inv_temperature=0.6, seed=seed + 1,
@@ -193,9 +193,10 @@ def check_end_to_end(seed: int) -> list:
 
 
 def dense_conv_reference(coords: np.ndarray, feats: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Independent oracle for sparse_conv_forward(..., relu=False): put the
-    features in a zero-padded dense grid and convolve by explicit offset
-    loops (cross-correlation, weight[o] for OFFSETS[o])."""
+    """Independent oracle for sparse_conv_forward, which returns the
+    pre-activation: put the features in a zero-padded dense grid and
+    convolve by explicit offset loops (cross-correlation, weight[o] for
+    OFFSETS[o])."""
     cells = coords - coords.min(axis=0) + 1
     dense = np.zeros((*(cells.max(axis=0) + 2), feats.shape[1]))
     dense[tuple(cells.T)] = feats
@@ -222,7 +223,7 @@ def check_dense_oracle(seed: int) -> CheckResult:
     layer = ConvLayer(rng.standard_normal((27, c_in, c_out)), rng.standard_normal(c_out))
     coords += rng.integers(-10, 10, size=3)
     grid = SparseFeatureGrid(coords, feats, np.arange(n_active))
-    sparse = sparse_conv_forward(grid, layer, relu=False)
+    sparse = sparse_conv_forward(grid, layer)
     err = float(np.abs(sparse - dense_conv_reference(coords, feats, layer)).max())
     return CheckResult("encoder.dense_oracle", err, err, err < 1e-9)
 

@@ -38,9 +38,13 @@ def coefficient_entropy(coeffs: np.ndarray) -> np.ndarray:
 class PrototypeBank:
     """K learnable D-dim prototypes with key/query maps and inverse temperature.
 
-    The bank is overcomplete by default (more prototypes than feature
-    dimensions), which is what makes the spanned hull expressive; pass
-    require_overcomplete=False to build degenerate banks for analysis.
+    create() makes an overcomplete bank (more prototypes than feature
+    dimensions), which is what makes the spanned hull expressive; the
+    constructor takes require_overcomplete=False to build degenerate banks
+    for analysis and to load saved ones as they are.
+
+    Features come as (N, D) batches; every method raises ValueError for
+    any other shape.
     """
 
     def __init__(
@@ -79,7 +83,6 @@ class PrototypeBank:
         inv_temperature: float = 0.5,
         seed: int = 0,
         dtype=np.float64,
-        require_overcomplete: bool = True,
     ) -> "PrototypeBank":
         """Unit-norm Gaussian prototypes; key/query uniform in +-sqrt(1/D)."""
         rng = np.random.default_rng(seed)
@@ -93,7 +96,6 @@ class PrototypeBank:
             w_key.astype(dtype),
             w_query.astype(dtype),
             inv_temperature,
-            require_overcomplete=require_overcomplete,
         )
 
     @property
@@ -115,28 +117,20 @@ class PrototypeBank:
             "w_query": self.w_query,
         }
 
-    def _as_batch(self, x):
-        x = np.asarray(x)
-        if not np.isfinite(x).all():
-            raise ValueError("features must be finite")
-        if x.ndim == 1:
-            return x[None, :], True
-        if x.ndim == 2:
-            return x, False
-        raise ValueError("expected a (D,) vector or an (N, D) batch")
-
     def _attention(self, batch: np.ndarray):
         """(keys, queries, logits) for an (N, D) batch; the one place the
-        attention is computed."""
+        attention is computed, and the one place its input is checked."""
+        if batch.ndim != 2:
+            raise ValueError(f"expected an (N, D) batch, got shape {batch.shape}")
+        if not np.isfinite(batch).all():
+            raise ValueError("features must be finite")
         keys = batch @ self.w_key
         queries = self.prototypes @ self.w_query
         return keys, queries, self.inv_temperature * (keys @ queries.T)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """lambda * (x W_key) . (p_k W_query) for every prototype."""
-        batch, single = self._as_batch(x)
-        out = self._attention(batch)[2]
-        return out[0] if single else out
+        return self._attention(np.asarray(x))[2]
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """Simplex weights over prototypes: softmax of the attention logits."""
@@ -151,16 +145,16 @@ class PrototypeBank:
         adds a per-row constant to the attention logits), so only the
         constant centroid term is dropped.
         """
-        batch, single = self._as_batch(x)
-        keys, queries, logits = self._attention(batch)
+        x = np.asarray(x)
+        keys, queries, logits = self._attention(x)
         coeffs = softmax(logits)
         out = coeffs @ self.prototypes
         if centered:
             out -= self.prototypes.mean(axis=0)
         if cache:
-            self._cache = {"x": batch, "keys": keys, "queries": queries, "coeffs": coeffs,
-                           "single": single, "centered": centered}
-        return out[0] if single else out
+            self._cache = {"x": x, "keys": keys, "queries": queries, "coeffs": coeffs,
+                           "centered": centered}
+        return out
 
     def backward(self, upstream: np.ndarray):
         """Exact gradients of sum(upstream * project(x)) w.r.t. x and all
@@ -173,8 +167,6 @@ class PrototypeBank:
             raise RuntimeError("backward called without a cached forward pass")
         c = self._cache
         g = np.asarray(upstream)
-        if c["single"] and g.ndim == 1:
-            g = g[None, :]
         if g.shape != (c["x"].shape[0], self.feature_dim):
             raise ValueError("upstream gradient shape mismatch")
 
@@ -193,6 +185,4 @@ class PrototypeBank:
         d_w_key = c["x"].T @ d_keys
         d_protos = d_protos + d_queries @ self.w_query.T
         d_w_query = self.prototypes.T @ d_queries
-        if c["single"]:
-            d_x = d_x[0]
         return d_x, d_protos, d_w_key, d_w_query

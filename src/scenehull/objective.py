@@ -88,20 +88,19 @@ def contrastive_loss(feats: np.ndarray, labels: np.ndarray, table: AnchorTable):
     return loss, d_feats, d_w_proj
 
 
-def class_probs(feat: np.ndarray, table: AnchorTable, temperature: float = 1.0) -> np.ndarray:
-    """Per-class distribution from anchor similarities (softmax, temp 1)."""
+def class_probs(feats: np.ndarray, table: AnchorTable, temperature: float = 1.0) -> np.ndarray:
+    """(N, C) class distributions of an (N, D) batch: the softmax of its
+    anchor similarities divided by the temperature."""
     if table.num_classes == 0:
         raise ValueError("anchor table is empty")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    feat = np.asarray(feat)
-    if not np.isfinite(feat).all():
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
+    feats = np.asarray(feats)
+    if feats.ndim != 2:
+        raise ValueError(f"expected an (N, D) batch, got shape {feats.shape}")
+    if not np.isfinite(feats).all():
         raise ValueError("features must be finite")
-    single = feat.ndim == 1
-    batch = feat[None, :] if single else feat
-    logits = (batch @ table.matrix().T) / temperature
-    probs = softmax(logits)
-    return probs[0] if single else probs
+    return softmax((feats @ table.matrix().T) / temperature)
 
 
 class Adam:

@@ -2,8 +2,9 @@
 
 Each placed model is rotated, scaled, anchor-cropped and dropped onto the
 floor; overlaps against already-placed content are filtered at random.
-Background points (real scans mixed in) carry the reserved label and never
-contribute to any loss.
+Background points (real scans mixed in) carry the reserved label and
+instance id -1 and never contribute to any loss; model points carry their
+placement index as instance id.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from .encoder import pack_keys
 from .geometry import PointCloud, rotate_z, scale, translate
 
 BACKGROUND_LABEL = -1
-SOURCE_MODEL = 0
-SOURCE_BACKGROUND = 1
 
 
 @dataclass
@@ -144,28 +143,26 @@ def resolve_overlap(
 
 
 def concat_clouds(clouds) -> PointCloud:
-    """Concatenate clouds that all carry labels, instance ids and sources."""
+    """Concatenate clouds that all carry labels and instance ids."""
     clouds = [c for c in clouds if len(c)]
     if not clouds:
         raise ValueError("nothing to concatenate")
     for c in clouds:
-        if c.labels is None or c.instance_ids is None or c.source is None:
+        if c.labels is None or c.instance_ids is None:
             raise ValueError("concat requires fully annotated clouds")
     return PointCloud(
         np.concatenate([c.positions for c in clouds]),
         np.concatenate([c.labels for c in clouds]),
         np.concatenate([c.instance_ids for c in clouds]),
-        np.concatenate([c.source for c in clouds]),
     )
 
 
-def _annotate(pc: PointCloud, label: int, instance: int, source: int) -> PointCloud:
+def _annotate(pc: PointCloud, label: int, instance: int) -> PointCloud:
     n = len(pc)
     return PointCloud(
         pc.positions,
         np.full(n, label, dtype=np.int64),
         np.full(n, instance, dtype=np.int64),
-        np.full(n, source, dtype=np.int64),
     )
 
 
@@ -199,18 +196,18 @@ def simulate_scene(
 
     composite = None
     if background is not None and len(background):
-        composite = _annotate(background, BACKGROUND_LABEL, -1, SOURCE_BACKGROUND)
+        composite = _annotate(background, BACKGROUND_LABEL, -1)
 
     for instance, (cloud, class_id) in enumerate(models):
         placed = rotate_z(cloud, rng.uniform(0.0, config.rotation_max))
         placed = scale(placed, rng.uniform(config.scale_min, config.scale_max))
         placed = anchor_crop(placed, config, rng)
         placed = place_on_floor(placed, floor_z, xy_bounds, rng)
-        placed = _annotate(placed, int(class_id), instance, SOURCE_MODEL)
+        placed = _annotate(placed, int(class_id), instance)
         if composite is not None and len(composite):
             composite, placed = resolve_overlap(composite, placed, config, rng)
         composite = placed if composite is None else concat_clouds([composite, placed])
 
-    model_mask = composite.source == SOURCE_MODEL
+    model_mask = composite.instance_ids >= 0
     class_set = sorted(int(c) for c in np.unique(composite.labels[model_mask]))
     return SimulatedScene(cloud=composite, class_set=class_set)

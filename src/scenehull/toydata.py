@@ -85,27 +85,18 @@ def box_mesh(size=(0.55, 0.45, 0.35)) -> TriangleMesh:
     return TriangleMesh(verts, faces)
 
 
-def tube_mesh(radius: float = 0.10, height: float = 0.8, segments: int = 32,
-              caps: bool = False) -> TriangleMesh:
-    """Open cylinder shell (caps optional)."""
+def tube_mesh(radius: float = 0.10, height: float = 0.8, segments: int = 32) -> TriangleMesh:
+    """Open cylinder shell (no end caps)."""
     angles = 2.0 * math.pi * np.arange(segments) / segments
     ring = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
     bottom = np.column_stack([ring, np.full(segments, -height / 2.0)])
     top = np.column_stack([ring, np.full(segments, height / 2.0)])
-    verts = [bottom, top]
     faces = []
     for i in range(segments):
         j = (i + 1) % segments
         faces.append((i, j, segments + i))
         faces.append((j, segments + j, segments + i))
-    if caps:
-        verts.append(np.array([[0.0, 0.0, -height / 2.0], [0.0, 0.0, height / 2.0]]))
-        lo, hi = 2 * segments, 2 * segments + 1
-        for i in range(segments):
-            j = (i + 1) % segments
-            faces.append((j, i, lo))
-            faces.append((segments + i, segments + j, hi))
-    return TriangleMesh(np.concatenate(verts), np.asarray(faces))
+    return TriangleMesh(np.concatenate([bottom, top]), np.asarray(faces))
 
 
 def cone_mesh(radius: float = 0.24, height: float = 0.5, segments: int = 32) -> TriangleMesh:

@@ -114,12 +114,17 @@ class TestSimulate:
         ("xy_bounds", [[0.0, 3.0], [3.0, 0.0]], "manifest: xy_bounds minimum"),
         ("augment.scale_min", 1.2, "manifest.augment: need 0 < scale_min <= scale_max"),
         ("seed", -1, "manifest: seed must be a non-negative integer"),
-    ], ids=["num_scenes", "points_per_model", "xy_bounds", "augment.scale_min", "seed"])
+        # -1 is the background label
+        ("models[2].class_id", -1,
+         "manifest.models[2]: class_id must be a non-negative integer"),
+    ], ids=["num_scenes", "points_per_model", "xy_bounds", "augment.scale_min", "seed",
+            "models.class_id"])
     def test_negative_num_scenes_config_error(self, toy_dir, tmp_path, capsys, field, value,
                                               message):
         data = json.loads((toy_dir / "manifest.json").read_text())
         section, _, key = field.rpartition(".")
-        (data[section] if section else data)[key] = value
+        target = data["models"][2] if section == "models[2]" else data[section] if section else data
+        target[key] = value
         bad = tmp_path / "bad_manifest.json"
         bad.write_text(json.dumps(data))
         code = run_cli(["simulate", "--manifest", bad, "-o", tmp_path / "run"])
@@ -481,6 +486,21 @@ class TestInferEval:
         assert code == 3
         assert f"i/o error: {bad}: corrupt checkpoint header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("temperature", ["nan", "inf"])
+    def test_non_finite_temperature_config_error(self, toy_dir, trained_run, tmp_path, capsys,
+                                                 temperature):
+        scenes = tmp_path / "scenes"
+        assert run_cli(["simulate", "--manifest", toy_dir / "manifest.json",
+                        "--seed", 2, "-o", scenes]) == 0
+        probs = tmp_path / "probs.txt"
+        code = run_cli(["infer", "--checkpoint", trained_run / "checkpoint.bin",
+                        "--scene", scenes / "scene_000.txt", "--temperature", temperature,
+                        "-o", probs])
+        assert code == 2
+        assert "config error: temperature must be positive and finite" in capsys.readouterr().err
+        assert not probs.exists()
+        assert not (tmp_path / "probs.classes.txt").exists()
+
     def test_probability_file_bytes_match_per_row_formatting(self, toy_dir, trained_run,
                                                             tmp_path):
         from scenehull.checkpoint import load_checkpoint
@@ -522,6 +542,14 @@ class TestToyCommand:
         assert run_cli(["toy", "-o", tmp_path / "toy", "--points", 64, "--scenes", 0]) == 0
         manifest = json.loads((tmp_path / "toy" / "manifest.json").read_text())
         assert manifest["num_scenes"] == 0
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_below_one_exit_2(self, tmp_path, capsys, value):
+        assert_flag_rejected(["--threads", value, "toy", "-o", tmp_path / "toy"],
+                             "--threads", capsys)
+        assert not (tmp_path / "toy").exists()
 
 
 class TestSubprocessEntry:

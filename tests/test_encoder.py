@@ -79,16 +79,16 @@ class TestSparseConv:
         layer = ConvLayer(rng.normal(size=(27, 2, 3)), rng.normal(size=3))
         feats = rng.normal(size=(1, 2))
         grid = SparseFeatureGrid(np.array([[5, 5, 5]]), feats, np.array([0]))
-        out = sparse_conv_forward(grid, layer, relu=True)
+        out = sparse_conv_forward(grid, layer)
         center = 13  # offset (0, 0, 0)
-        expected = np.maximum(layer.bias + feats[0] @ layer.weight[center], 0.0)
+        expected = layer.bias + feats[0] @ layer.weight[center]  # the pre-activation
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_zero_weights_zero_bias(self):
         grid = SparseFeatureGrid(np.array([[0, 0, 0], [1, 0, 0]]), np.ones((2, 1)),
                                  np.array([0, 1]))
         layer = ConvLayer(np.zeros((27, 1, 4)), np.zeros(4))
-        out = sparse_conv_forward(grid, layer, relu=True)
+        out = sparse_conv_forward(grid, layer)
         np.testing.assert_array_equal(out, np.zeros((2, 4)))
 
     def test_matches_dense_reference(self):
@@ -207,7 +207,7 @@ class TestBlockedForward:
             grid = SparseFeatureGrid(coords, rng.standard_normal((len(coords), c_in)),
                                      np.arange(len(coords)))
             layer = ConvLayer(rng.standard_normal((27, c_in, c_out)), rng.standard_normal(c_out))
-            out = sparse_conv_forward(grid, layer, relu=False)
+            out = sparse_conv_forward(grid, layer)
             assert np.array_equal(out, reference_forward(grid, layer))
 
     def test_matches_unblocked_on_a_scan(self):
@@ -218,7 +218,7 @@ class TestBlockedForward:
         feats = rng.standard_normal((grid.num_voxels, 32))
         layer = ConvLayer(rng.standard_normal((27, 32, 64)), rng.standard_normal(64))
         work = SparseFeatureGrid(grid.coords, feats, grid.point_to_voxel)
-        assert np.array_equal(sparse_conv_forward(work, layer, relu=False),
+        assert np.array_equal(sparse_conv_forward(work, layer),
                               reference_forward(work, layer))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -230,7 +230,7 @@ class TestBlockedForward:
                                  np.arange(len(coords)))
         layer = ConvLayer(rng.standard_normal((27, 1, 32)).astype(dtype),
                           rng.standard_normal(32).astype(dtype))
-        out = sparse_conv_forward(grid, layer, relu=False)
+        out = sparse_conv_forward(grid, layer)
         assert out.dtype == dtype
         assert np.array_equal(out, reference_forward(grid, layer))
 
@@ -240,7 +240,7 @@ class TestBlockedForward:
         grid = SparseFeatureGrid(coords, np.full((len(coords), 1), 1.0), np.arange(len(coords)))
         grid.feats[7] = 0.5
         layer = ConvLayer(rng.standard_normal((27, 1, 8)), rng.standard_normal(8))
-        out = sparse_conv_forward(grid, layer, relu=False)
+        out = sparse_conv_forward(grid, layer)
         assert np.array_equal(out, reference_forward(grid, layer))
 
 

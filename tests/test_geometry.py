@@ -351,7 +351,7 @@ class TestPointCloudType:
         pc = PointCloud(positions, labels=[-1, 0, -7])
         labeled, plain = tmp_path / "l.txt", tmp_path / "p.txt"
         save_points(labeled, pc)
-        save_points(plain, pc, include_labels=False)
+        save_points(plain, PointCloud(pc.positions))
         rows = [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in pc.positions]
         assert labeled.read_text() == "".join(
             f"{row} {lab}\n" for row, lab in zip(rows, pc.labels))
@@ -465,5 +465,5 @@ class TestLoadPointsMatchesLineLoop:
         expected = outcome(line_loop_load_points, path)
         monkeypatch.setattr(geometry, "_parse_point_lines", refuse)
         assert outcome(load_points, path) == expected
-        save_points(path, pc, include_labels=False)
+        save_points(path, PointCloud(pc.positions))
         assert load_points(path).labels is None

@@ -43,31 +43,31 @@ class TestCoefficients:
             np.ones((1, 4)), np.zeros((4, 2)), np.zeros((4, 2)),
             require_overcomplete=False,
         )
-        a = bank.coefficients(np.array([1.0, 2.0, 3.0, 4.0]))
-        np.testing.assert_array_equal(a, [1.0])
+        a = bank.coefficients(np.array([[1.0, 2.0, 3.0, 4.0]]))
+        np.testing.assert_array_equal(a, [[1.0]])
 
     def test_zero_key_gives_uniform(self):
         bank = tiny_bank()
         bank.w_key[:] = 0.0
-        a = bank.coefficients(np.random.default_rng(0).normal(size=4))
-        np.testing.assert_allclose(a, np.full(5, 0.2), atol=1e-15)
+        a = bank.coefficients(np.random.default_rng(0).normal(size=4)[None])
+        np.testing.assert_allclose(a, np.full((1, 5), 0.2), atol=1e-15)
 
     def test_high_temperature_one_hot(self):
         rng = np.random.default_rng(1)
         bank = PrototypeBank.create(num_prototypes=6, feature_dim=4,
                                     attention_dim=3, inv_temperature=1e4, seed=2)
-        x = rng.normal(size=4)
+        x = rng.normal(size=4)[None]
         # brute-force softmax at high lambda against the winning logit
         logits = bank.logits(x)
-        expect = np.zeros(6)
-        expect[np.argmax(logits)] = 1.0
+        expect = np.zeros((1, 6))
+        expect[0, np.argmax(logits)] = 1.0
         np.testing.assert_allclose(bank.coefficients(x), expect, atol=1e-6)
 
     def test_simplex_over_many_draws(self):
         rng = np.random.default_rng(3)
         bank = tiny_bank(k=12, d=6, seed=4)
         for _ in range(200):
-            a = bank.coefficients(rng.normal(size=6))
+            a = bank.coefficients(rng.normal(size=6)[None])
             assert (a >= 0.0).all()
             assert abs(a.sum() - 1.0) < 1e-6
 
@@ -80,7 +80,15 @@ class TestCoefficients:
     def test_rejects_nonfinite_input(self):
         bank = tiny_bank()
         with pytest.raises(ValueError):
-            bank.coefficients(np.array([np.inf, 0.0, 0.0, 0.0]))
+            bank.coefficients(np.array([[np.inf, 0.0, 0.0, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_batches_only(self, shape):
+        bank = tiny_bank()
+        x = np.zeros(shape)
+        for method in (bank.logits, bank.coefficients, bank.project):
+            with pytest.raises(ValueError, match="batch"):
+                method(x)
 
 
 class TestProject:
@@ -88,13 +96,14 @@ class TestProject:
         proto = np.array([[1.0, -2.0, 0.5, 3.0]])
         bank = PrototypeBank(proto, np.zeros((4, 2)), np.zeros((4, 2)),
                              require_overcomplete=False)
-        np.testing.assert_array_equal(bank.project(np.zeros(4)), proto[0])
+        np.testing.assert_array_equal(bank.project(np.zeros((1, 4))), proto)
 
     def test_uniform_coefficients_give_mean(self):
         bank = tiny_bank()
         bank.w_key[:] = 0.0
-        out = bank.project(np.random.default_rng(6).normal(size=4))
-        np.testing.assert_allclose(out, bank.prototypes.mean(axis=0), atol=1e-12)
+        out = bank.project(np.random.default_rng(6).normal(size=4)[None])
+        np.testing.assert_allclose(out, bank.prototypes.mean(axis=0, keepdims=True),
+                                   atol=1e-12)
 
     def test_reconstruction_from_coefficients(self):
         rng = np.random.default_rng(7)
@@ -118,14 +127,20 @@ class TestProject:
         bank = tiny_bank(k=16, d=6, seed=10)
         max_norm = np.linalg.norm(bank.prototypes, axis=1).max()
         for _ in range(100):
-            out = bank.project(rng.normal(size=6) * 10.0)
-            assert np.linalg.norm(out) <= max_norm + 1e-9
+            out = bank.project(rng.normal(size=6)[None] * 10.0)
+            assert np.linalg.norm(out[0]) <= max_norm + 1e-9
 
 
 class TestBackward:
     def test_requires_cache(self):
         bank = tiny_bank()
         with pytest.raises(RuntimeError):
+            bank.backward(np.zeros(4))
+
+    def test_upstream_must_match_the_batch(self):
+        bank = tiny_bank()
+        bank.project(np.zeros((1, 4)), cache=True)
+        with pytest.raises(ValueError, match="shape"):
             bank.backward(np.zeros(4))
 
     def test_zero_upstream(self):

@@ -113,8 +113,8 @@ class TestContrastiveLoss:
 class TestClassProbs:
     def test_equal_similarities(self):
         table = identity_table(2, 4)
-        probs = class_probs(np.zeros(4), table)
-        np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
+        probs = class_probs(np.zeros((1, 4)), table)
+        np.testing.assert_allclose(probs, [[0.5, 0.5]], atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -124,9 +124,9 @@ class TestClassProbs:
 
     def test_hand_softmax(self):
         table = identity_table(3, 3)
-        probs = class_probs(np.array([1.0, 0.0, 0.0]), table)
+        probs = class_probs(np.array([[1.0, 0.0, 0.0]]), table)
         e = math.e
-        np.testing.assert_allclose(probs, [e / (e + 2), 1 / (e + 2), 1 / (e + 2)],
+        np.testing.assert_allclose(probs, [[e / (e + 2), 1 / (e + 2), 1 / (e + 2)]],
                                    atol=1e-12)
 
     def test_shift_invariance(self):
@@ -135,16 +135,26 @@ class TestClassProbs:
         emb = rng.normal(size=(c, d))
         table = AnchorTable([f"c{i}" for i in range(c)], emb, np.eye(d))
         x = rng.normal(size=d)
-        p = class_probs(x, table)
+        p = class_probs(x[None], table)
         shifted = AnchorTable([f"c{i}" for i in range(c)],
                               np.hstack([emb, np.ones((c, 1))]), np.eye(d + 1))
-        p2 = class_probs(np.concatenate([x, [9.9]]), shifted)
+        p2 = class_probs(np.concatenate([x, [9.9]])[None], shifted)
         assert np.abs(p - p2).max() < 1e-9
 
     def test_empty_table_rejected(self):
         table = AnchorTable([], np.zeros((0, 3)), np.eye(3))
         with pytest.raises(ValueError):
-            class_probs(np.zeros(3), table)
+            class_probs(np.zeros((1, 3)), table)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3)])
+    def test_batches_only(self, shape):
+        with pytest.raises(ValueError, match="batch"):
+            class_probs(np.zeros(shape), identity_table(2, 3))
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
+    def test_temperature_must_be_positive_and_finite(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            class_probs(np.zeros((1, 3)), identity_table(2, 3), temperature=temperature)
 
 
 class TestAdam:

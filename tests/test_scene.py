@@ -7,8 +7,6 @@ from scipy.stats import chisquare
 from scenehull.geometry import PointCloud
 from scenehull.scene import (
     BACKGROUND_LABEL,
-    SOURCE_BACKGROUND,
-    SOURCE_MODEL,
     AugmentConfig,
     anchor_crop,
     estimate_floor,
@@ -177,7 +175,7 @@ class TestSimulateScene:
     def test_single_model_no_background(self):
         models = two_blob_models()[:1]
         scene = simulate_scene(None, models, AugmentConfig(), np.random.default_rng(0))
-        assert (scene.cloud.source == SOURCE_MODEL).all()
+        assert (scene.cloud.instance_ids == 0).all()
         assert set(np.unique(scene.cloud.labels)) == {3}
         assert scene.class_set == [3]
 
@@ -202,7 +200,7 @@ class TestSimulateScene:
                                          np.zeros(500)]))
         scene = simulate_scene(bg, two_blob_models(), AugmentConfig(),
                                np.random.default_rng(4))
-        bg_mask = scene.cloud.source == SOURCE_BACKGROUND
+        bg_mask = scene.cloud.instance_ids == -1
         assert (scene.cloud.labels[bg_mask] == BACKGROUND_LABEL).all()
         assert (scene.cloud.labels[~bg_mask] != BACKGROUND_LABEL).all()
         # background label never leaks into class_set
