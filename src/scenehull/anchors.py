@@ -105,13 +105,14 @@ class AnchorTable:
         show up immediately."""
         return self._project()[0]
 
-    def backward(self, d_anchors: np.ndarray) -> np.ndarray:
-        """Gradient w.r.t. w_proj, given the gradient w.r.t. matrix()."""
+    def backward(self, d_anchors: np.ndarray) -> dict:
+        """Parameter gradients, keyed like parameters(), given the gradient
+        w.r.t. matrix()."""
         anchors, norms = self._project()
         if self.normalize:
             # h = u / |u| row-wise: du = (dh - h * sum(h * dh)) / |u|
             d_anchors = (d_anchors - anchors * (anchors * d_anchors).sum(axis=1, keepdims=True)) / norms
-        return self.embeddings.astype(d_anchors.dtype).T @ d_anchors
+        return {"w_proj": self.embeddings.astype(d_anchors.dtype).T @ d_anchors}
 
     def _project(self):
         """(matrix(), row norms before normalization or None)."""

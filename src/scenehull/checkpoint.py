@@ -18,6 +18,7 @@ from .cli import (_BOOL, _INT, _NUMBER, _OBJECT, _OBJECT_LIST, _STRING, _STRING_
                   _check_types)
 from .encoder import NUM_OFFSETS, ConvLayer, SparseEncoder
 from .hull import PrototypeBank
+from .objective import _prefixed
 
 MAGIC = b"SCENEHULL-CKPT\n"
 FORMAT_VERSION = 1
@@ -37,16 +38,10 @@ def _array_entry(name: str, arr: np.ndarray) -> dict:
 
 def save_checkpoint(path, encoder: SparseEncoder, bank: PrototypeBank | None,
                     table: AnchorTable, meta: dict | None = None) -> None:
-    arrays = {}
-    for i, layer in enumerate(encoder.layers):
-        arrays[f"encoder.layers.{i}.weight"] = layer.weight
-        arrays[f"encoder.layers.{i}.bias"] = layer.bias
-    if bank is not None:
-        arrays["bank.prototypes"] = bank.prototypes
-        arrays["bank.w_key"] = bank.w_key
-        arrays["bank.w_query"] = bank.w_query
-    arrays["anchors.embeddings"] = table.embeddings
-    arrays["anchors.w_proj"] = table.w_proj
+    # the frozen embeddings go ahead of the trained projection
+    arrays = _prefixed(encoder=encoder.parameters(),
+                       bank=None if bank is None else bank.parameters(),
+                       anchors={"embeddings": table.embeddings, **table.parameters()})
 
     header = {
         "format": FORMAT_VERSION,
@@ -126,7 +121,7 @@ def load_checkpoint(path) -> Checkpoint:
             count = int(np.prod(shape)) if shape else 1
             data = fh.read(count * dtype.itemsize)
             if len(data) != count * dtype.itemsize:
-                raise ValueError(f"{path}: truncated array {entry['name']}")
+                raise OSError(f"{path}: truncated array {entry['name']}")
             arrays[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
 
     def array(name, *dims):
@@ -151,13 +146,11 @@ def load_checkpoint(path) -> Checkpoint:
     bank = None
     if header["bank"] is not None:
         w_key = array("bank.w_key", dim, None)
-        # validation happened when the bank was created; load as-is
         bank = PrototypeBank(
             array("bank.prototypes", None, dim),
             w_key,
             array("bank.w_query", *w_key.shape),
             header["bank"]["inv_temperature"],
-            require_overcomplete=False,
         )
     class_names = header["anchors"]["class_names"]
     embeddings = array("anchors.embeddings", len(class_names), None)

@@ -1,9 +1,9 @@
 """Command-line entry point: sample, simulate, train, infer, eval, gradcheck, toy.
 
 Heavy imports happen inside the command handlers so --threads can pin the
-BLAS thread count through environment variables before numpy loads. With the
-default --threads 1 every subcommand is a deterministic function of its
-inputs and --seed and replays byte-identically.
+BLAS thread count through environment variables, over any value the caller
+set, before numpy loads. With the default --threads 1 every subcommand is a
+deterministic function of its inputs and --seed and replays byte-identically.
 
 Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O error,
 4 numerical divergence.
@@ -504,6 +504,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_finite(text):
+    """argparse type: a positive finite float; argparse exits 2 naming the flag."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+_positive_finite.__name__ = "float"  # argparse names it in "invalid float value"
+
+
 def build_parser() -> argparse.ArgumentParser:
     non_negative, positive = _int_at_least(0), _int_at_least(1)
     parser = argparse.ArgumentParser(
@@ -539,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="per-point class probabilities for a scene")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene", required=True)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=_positive_finite, default=1.0)
     p.add_argument("--extend-classes", default="",
                    help="comma-separated unseen class names to add before inference")
     p.add_argument("--embeddings", default=None,
@@ -572,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, str(args.threads))
+    for var in _THREAD_VARS:  # --threads wins over the caller's environment
+        os.environ[var] = str(args.threads)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -18,7 +18,7 @@ from .encoder import (OFFSETS, ConvLayer, SparseEncoder, SparseFeatureGrid,
                       sparse_conv_forward, voxelize)
 from .geometry import PointCloud
 from .hull import PrototypeBank
-from .objective import contrastive_loss
+from .objective import _prefixed, contrastive_loss
 
 RTOL = 1e-4
 ATOL = 1e-8
@@ -70,8 +70,8 @@ def _random_cloud(rng, n_points: int, extent: float = 0.4) -> PointCloud:
 
 
 def check_dcr(seed: int) -> list:
-    """All four gradient blocks of the hull projection (x, P, W_key, W_query),
-    for the plain and the centered projection."""
+    """The gradients of the hull projection w.r.t. x and every bank
+    parameter, for the plain and the centered projection."""
     rng = np.random.default_rng(seed)
     bank = PrototypeBank.create(
         num_prototypes=5, feature_dim=4, attention_dim=3,
@@ -86,14 +86,11 @@ def check_dcr(seed: int) -> list:
             return float((bank.project(x, centered=centered) * probe).sum())
 
         bank.project(x, cache=True, centered=centered)
-        d_x, d_p, d_wk, d_wq = bank.backward(probe)
-        for name, tensor, analytic in [
-            ("features", x, d_x),
-            ("prototypes", bank.prototypes, d_p),
-            ("w_key", bank.w_key, d_wk),
-            ("w_query", bank.w_query, d_wq),
-        ]:
-            results.append(compare(f"{prefix}.{name}", analytic, numeric_gradient(scalar, tensor)))
+        d_x, grads = bank.backward(probe)
+        tensors = {"features": x, **bank.parameters()}
+        for name, analytic in {"features": d_x, **grads}.items():
+            results.append(compare(f"{prefix}.{name}", analytic,
+                                   numeric_gradient(scalar, tensors[name])))
     return results
 
 
@@ -111,11 +108,9 @@ def check_encoder(seed: int) -> list:
 
     encoder.forward(cloud)
     grads = encoder.backward(probe)
-    results = []
-    for name in sorted(grads):
-        tensor = encoder.parameters()[name]
-        results.append(compare(f"encoder.{name}", grads[name], numeric_gradient(scalar, tensor)))
-    return results
+    params = encoder.parameters()
+    return [compare(f"encoder.{name}", grads[name], numeric_gradient(scalar, params[name]))
+            for name in sorted(params)]
 
 
 def check_loss(seed: int) -> list:
@@ -131,11 +126,10 @@ def check_loss(seed: int) -> list:
     def scalar():
         return contrastive_loss(feats, labels, table)[0]
 
-    _, d_feats, d_w_proj = contrastive_loss(feats, labels, table)
-    return [
-        compare("loss.features", d_feats, numeric_gradient(scalar, feats)),
-        compare("loss.w_proj", d_w_proj, numeric_gradient(scalar, table.w_proj)),
-    ]
+    _, d_feats, grads = contrastive_loss(feats, labels, table)
+    return [compare("loss.features", d_feats, numeric_gradient(scalar, feats))] + [
+        compare(f"loss.{name}", grads[name], numeric_gradient(scalar, tensor))
+        for name, tensor in table.parameters().items()]
 
 
 def check_end_to_end(seed: int) -> list:
@@ -161,34 +155,27 @@ def check_end_to_end(seed: int) -> list:
         projected = bank.project(feats)
         return contrastive_loss(projected, labels, table)[0]
 
+    params = _prefixed(anchors=table.parameters(), bank=bank.parameters(),
+                       encoder=encoder.parameters())
     feats = encoder.forward(cloud)
     projected = bank.project(feats, cache=True)
-    _, d_proj, d_w_proj = contrastive_loss(projected, labels, table)
-    d_feats, d_p, d_wk, d_wq = bank.backward(d_proj)
-    enc_grads = encoder.backward(d_feats)
-
-    named = [("e2e.anchors.w_proj", table.w_proj, d_w_proj),
-             ("e2e.bank.prototypes", bank.prototypes, d_p),
-             ("e2e.bank.w_key", bank.w_key, d_wk),
-             ("e2e.bank.w_query", bank.w_query, d_wq)]
-    for name in sorted(enc_grads):
-        named.append((f"e2e.encoder.{name}", encoder.parameters()[name], enc_grads[name]))
-    results = [compare(name, analytic, numeric_gradient(scalar, tensor))
-               for name, tensor, analytic in named]
+    _, d_proj, table_grads = contrastive_loss(projected, labels, table)
+    d_feats, bank_grads = bank.backward(d_proj)
+    grads = _prefixed(anchors=table_grads, bank=bank_grads, encoder=encoder.backward(d_feats))
+    results = [compare(f"e2e.{name}", grads[name], numeric_gradient(scalar, params[name]))
+               for name in sorted(params)]
 
     def centered_scalar():
         return contrastive_loss(bank.project(feats, centered=True), labels, table)[0]
 
     projected = bank.project(feats, cache=True, centered=True)
-    _, d_proj, d_w_proj = contrastive_loss(projected, labels, table)
-    d_feats, d_p, d_wk, d_wq = bank.backward(d_proj)
-    for name, tensor, analytic in [("features", feats, d_feats),
-                                   ("anchors.w_proj", table.w_proj, d_w_proj),
-                                   ("bank.prototypes", bank.prototypes, d_p),
-                                   ("bank.w_key", bank.w_key, d_wk),
-                                   ("bank.w_query", bank.w_query, d_wq)]:
+    _, d_proj, table_grads = contrastive_loss(projected, labels, table)
+    d_feats, bank_grads = bank.backward(d_proj)
+    tensors = {"features": feats, **params}
+    for name, analytic in {"features": d_feats,
+                           **_prefixed(anchors=table_grads, bank=bank_grads)}.items():
         results.append(compare(f"e2e.centered.{name}", analytic,
-                               numeric_gradient(centered_scalar, tensor)))
+                               numeric_gradient(centered_scalar, tensors[name])))
     return results
 
 

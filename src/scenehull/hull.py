@@ -39,9 +39,9 @@ class PrototypeBank:
     """K learnable D-dim prototypes with key/query maps and inverse temperature.
 
     create() makes an overcomplete bank (more prototypes than feature
-    dimensions), which is what makes the spanned hull expressive; the
-    constructor takes require_overcomplete=False to build degenerate banks
-    for analysis and to load saved ones as they are.
+    dimensions), which is what makes the spanned hull expressive. The
+    constructor takes any K, so degenerate banks can be built for analysis
+    and saved ones load as they are.
 
     Features come as (N, D) batches; every method raises ValueError for
     any other shape.
@@ -53,8 +53,6 @@ class PrototypeBank:
         w_key: np.ndarray,
         w_query: np.ndarray,
         inv_temperature: float = 0.5,
-        *,
-        require_overcomplete: bool = True,
     ):
         self.prototypes = np.asarray(prototypes)
         self.w_key = np.asarray(w_key)
@@ -62,7 +60,7 @@ class PrototypeBank:
         self.inv_temperature = float(inv_temperature)
         if self.prototypes.ndim != 2:
             raise ValueError("prototypes must be (K, D)")
-        k, d = self.prototypes.shape
+        d = self.prototypes.shape[1]
         if self.w_key.shape != self.w_query.shape or self.w_key.ndim != 2 or self.w_key.shape[0] != d:
             raise ValueError("key/query maps must both be (D, d_a)")
         for arr in (self.prototypes, self.w_key, self.w_query):
@@ -70,8 +68,6 @@ class PrototypeBank:
                 raise ValueError("bank parameters must be finite")
         if not np.isfinite(self.inv_temperature) or self.inv_temperature < 0.0:
             raise ValueError("inverse temperature must be finite and nonnegative")
-        if require_overcomplete and k <= d:
-            raise ValueError(f"need more prototypes than feature dims (K={k}, D={d})")
         self._cache = None
 
     @classmethod
@@ -84,7 +80,11 @@ class PrototypeBank:
         seed: int = 0,
         dtype=np.float64,
     ) -> "PrototypeBank":
-        """Unit-norm Gaussian prototypes; key/query uniform in +-sqrt(1/D)."""
+        """Unit-norm Gaussian prototypes; key/query uniform in +-sqrt(1/D).
+        The bank must be overcomplete, K > D."""
+        if num_prototypes <= feature_dim:
+            raise ValueError(f"need more prototypes than feature dims "
+                             f"(K={num_prototypes}, D={feature_dim})")
         rng = np.random.default_rng(seed)
         protos = rng.standard_normal((num_prototypes, feature_dim))
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
@@ -157,8 +157,9 @@ class PrototypeBank:
         return out
 
     def backward(self, upstream: np.ndarray):
-        """Exact gradients of sum(upstream * project(x)) w.r.t. x and all
-        bank parameters. Requires project(..., cache=True) first.
+        """Exact gradients of sum(upstream * project(x)): returns (d_x,
+        grads), grads a dict keyed like parameters(). Requires
+        project(..., cache=True) first.
 
         The prototypes get two contributions: the value path (weighted sum)
         and the query path through the attention logits.
@@ -182,7 +183,6 @@ class PrototypeBank:
         d_keys = lam * (d_logits @ c["queries"])
         d_queries = lam * (d_logits.T @ c["keys"])
         d_x = d_keys @ self.w_key.T
-        d_w_key = c["x"].T @ d_keys
-        d_protos = d_protos + d_queries @ self.w_query.T
-        d_w_query = self.prototypes.T @ d_queries
-        return d_x, d_protos, d_w_key, d_w_query
+        return d_x, {"prototypes": d_protos + d_queries @ self.w_query.T,
+                     "w_key": c["x"].T @ d_keys,
+                     "w_query": self.prototypes.T @ d_queries}

@@ -57,8 +57,9 @@ class TrainConfig:
 def contrastive_loss(feats: np.ndarray, labels: np.ndarray, table: AnchorTable):
     """Mean cross-entropy of anchor similarities at the true class.
 
-    Returns (loss, d_feats, d_w_proj) with exact gradients. Every label must
-    have an anchor; callers drop background points beforehand.
+    Returns (loss, d_feats, table_grads) with exact gradients, table_grads
+    keyed like table.parameters(). Every label must have an anchor; callers
+    drop background points beforehand.
     """
     feats = np.asarray(feats)
     labels = np.asarray(labels, dtype=np.int64)
@@ -72,20 +73,18 @@ def contrastive_loss(feats: np.ndarray, labels: np.ndarray, table: AnchorTable):
 
     anchors = table.matrix()
     logits = feats @ anchors.T
-    probs = softmax(logits)
     n = len(feats)
     idx = np.arange(n)
-    # log-softmax evaluated stably rather than log(probs)
+    # one shifted exp serves the softmax and the stable log-softmax
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[idx, labels]))
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(z[:, 0]) - shifted[idx, labels]))
 
-    d_logits = probs
+    d_logits = e / z
     d_logits[idx, labels] -= 1.0
     d_logits /= n
-    d_feats = d_logits @ anchors
-    d_w_proj = table.backward(d_logits.T @ feats)
-    return loss, d_feats, d_w_proj
+    return loss, d_logits @ anchors, table.backward(d_logits.T @ feats)
 
 
 def class_probs(feats: np.ndarray, table: AnchorTable, temperature: float = 1.0) -> np.ndarray:
@@ -118,12 +117,11 @@ class Adam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict) -> None:
+        """One update; grads needs every name of params (KeyError if not)."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name in sorted(self.params):
-            g = grads.get(name)
-            if g is None:
-                continue
+            g = grads[name]
             p = self.params[name]
             m = self.m[name]
             v = self.v[name]
@@ -134,6 +132,14 @@ class Adam:
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _prefixed(**groups) -> dict:
+    """{"<group>.<name>": array} from each group's dict keyed like its
+    parameters(), in argument order; a None group is left out. The one
+    place that builds the full array names of training and checkpoints."""
+    return {f"{group}.{name}": arr for group, arrs in groups.items() if arrs is not None
+            for name, arr in arrs.items()}
 
 
 @dataclass
@@ -223,13 +229,9 @@ def train(
     if table.feature_dim != encoder.feature_dim:
         raise ValueError("anchor projection does not match encoder output")
 
-    params = {}
-    for k, v in encoder.parameters().items():
-        params[f"encoder.{k}"] = v
-    if config.use_dcr:
-        for k, v in bank.parameters().items():
-            params[f"bank.{k}"] = v
-    params["anchors.w_proj"] = table.w_proj
+    params = _prefixed(encoder=encoder.parameters(),
+                       bank=bank.parameters() if config.use_dcr else None,
+                       anchors=table.parameters())
     opt = Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
 
     epoch_losses = []
@@ -249,7 +251,7 @@ def train(
             labeled = scene.cloud.labels >= 0
             if not labeled.any():
                 raise RuntimeError("scene contains no labeled points")
-            loss, d_proj_labeled, d_w_proj = contrastive_loss(
+            loss, d_proj_labeled, table_grads = contrastive_loss(
                 projected[labeled], scene.cloud.labels[labeled], table
             )
             if not np.isfinite(loss):
@@ -258,17 +260,11 @@ def train(
 
             d_projected = np.zeros_like(projected)
             d_projected[labeled] = d_proj_labeled
-            grads = {"anchors.w_proj": d_w_proj}
+            d_feats, bank_grads = d_projected, None
             if config.use_dcr:
-                d_feats, d_protos, d_w_key, d_w_query = bank.backward(d_projected)
-                grads["bank.prototypes"] = d_protos
-                grads["bank.w_key"] = d_w_key
-                grads["bank.w_query"] = d_w_query
-            else:
-                d_feats = d_projected
-            for k, v in encoder.backward(d_feats).items():
-                grads[f"encoder.{k}"] = v
-            opt.step(grads)
+                d_feats, bank_grads = bank.backward(d_projected)
+            opt.step(_prefixed(encoder=encoder.backward(d_feats), bank=bank_grads,
+                               anchors=table_grads))
             for name in sorted(params):
                 if not np.isfinite(params[name]).all():
                     raise TrainingDiverged(

@@ -87,6 +87,18 @@ class TestAnchor:
         table.w_proj *= 2.0
         np.testing.assert_allclose(table.anchor(0), 2.0 * before, atol=1e-12)
 
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_grads_keyed_and_shaped_like_parameters(self, normalize, dtype):
+        rng = np.random.default_rng(3)
+        table = AnchorTable(["a", "b", "c"], rng.normal(size=(3, 5)),
+                            rng.normal(size=(5, 4)).astype(dtype), normalize=normalize)
+        grads = table.backward(np.ones((3, 4), dtype=dtype))
+        params = table.parameters()
+        assert set(grads) == set(params)
+        for name, p in params.items():
+            assert grads[name].shape == p.shape and grads[name].dtype == p.dtype, name
+
 
 class TestFreezing:
     def test_embeddings_read_only(self):
@@ -105,8 +117,7 @@ class TestFreezing:
         labels = rng.integers(0, 2, 10)
         opt = Adam(table.parameters(), lr=0.1)
         for _ in range(5):
-            _, _, d_w = contrastive_loss(feats, labels, table)
-            opt.step({"w_proj": d_w})
+            opt.step(contrastive_loss(feats, labels, table)[2])
         np.testing.assert_array_equal(table.embeddings, frozen)
         # the projection did train: anchors moved, raw embeddings did not
         assert not np.array_equal(table.anchor(0), anchor_before)

@@ -92,7 +92,7 @@ class TestGuards:
         save_checkpoint(path, encoder, bank, table)
         data = path.read_bytes()
         path.write_bytes(data[:-16])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(OSError, match="truncated"):
             load_checkpoint(path)
 
     def test_missing_array_named(self, tmp_path):

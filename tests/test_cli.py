@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from scenehull.cli import main
+from scenehull.cli import _THREAD_VARS, main
 from scenehull.toydata import build_toy_dataset
 
 RUN_ENV = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
@@ -486,20 +486,31 @@ class TestInferEval:
         assert code == 3
         assert f"i/o error: {bad}: corrupt checkpoint header" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("temperature", ["nan", "inf"])
-    def test_non_finite_temperature_config_error(self, toy_dir, trained_run, tmp_path, capsys,
+    @pytest.mark.parametrize("temperature", ["nan", "inf", "0", "-1"])
+    def test_non_finite_temperature_config_error(self, trained_run, tmp_path, capsys,
                                                  temperature):
-        scenes = tmp_path / "scenes"
-        assert run_cli(["simulate", "--manifest", toy_dir / "manifest.json",
-                        "--seed", 2, "-o", scenes]) == 0
+        # argparse rejects it before the checkpoint or the (absent) scene is read
         probs = tmp_path / "probs.txt"
-        code = run_cli(["infer", "--checkpoint", trained_run / "checkpoint.bin",
-                        "--scene", scenes / "scene_000.txt", "--temperature", temperature,
-                        "-o", probs])
-        assert code == 2
-        assert "config error: temperature must be positive and finite" in capsys.readouterr().err
+        assert_flag_rejected(["infer", "--checkpoint", trained_run / "checkpoint.bin",
+                              "--scene", tmp_path / "absent.txt", "--temperature", temperature,
+                              "-o", probs], "--temperature", capsys)
         assert not probs.exists()
         assert not (tmp_path / "probs.classes.txt").exists()
+
+    def test_bad_temperature_with_missing_checkpoint_exit_2(self, tmp_path, capsys):
+        assert_flag_rejected(["infer", "--checkpoint", tmp_path / "absent.bin",
+                              "--scene", tmp_path / "absent.txt", "--temperature", "0",
+                              "-o", tmp_path / "probs.txt"], "--temperature", capsys)
+
+    def test_truncated_checkpoint_io_error(self, trained_run, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes((trained_run / "checkpoint.bin").read_bytes()[:-16])
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0 0 0\n0.1 0 0\n")
+        code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
+        assert code == 3
+        assert f"i/o error: {bad}: truncated array" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
 
     def test_probability_file_bytes_match_per_row_formatting(self, toy_dir, trained_run,
                                                             tmp_path):
@@ -545,6 +556,13 @@ class TestToyCommand:
 
 
 class TestThreadsFlag:
+    def test_flag_overrides_environment(self, tmp_path, monkeypatch):
+        for var in _THREAD_VARS:
+            monkeypatch.setenv(var, "4")
+        assert run_cli(["--threads", 1, "toy", "-o", tmp_path / "toy", "--points", 64,
+                        "--scenes", 0]) == 0
+        assert {os.environ[var] for var in _THREAD_VARS} == {"1"}
+
     @pytest.mark.parametrize("value", [0, -3])
     def test_below_one_exit_2(self, tmp_path, capsys, value):
         assert_flag_rejected(["--threads", value, "toy", "-o", tmp_path / "toy"],

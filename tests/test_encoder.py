@@ -296,6 +296,17 @@ class TestEncoderBackward:
         for g in grads.values():
             assert np.all(g == 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_grads_keyed_and_shaped_like_parameters(self, dtype):
+        enc = SparseEncoder.create(widths=(3, 4), seed=1, dtype=dtype)
+        pc = PointCloud(np.random.default_rng(6).uniform(-0.2, 0.2, size=(12, 3)))
+        enc.forward(pc)
+        grads = enc.backward(np.ones((12, 4), dtype=dtype))
+        params = enc.parameters()
+        assert set(grads) == set(params)
+        for name, p in params.items():
+            assert grads[name].shape == p.shape and grads[name].dtype == p.dtype, name
+
     def test_final_bias_gradient_is_voxel_weighted_sum(self):
         # hand derivation: d(bias_last) = sum over voxels of (sum of upstream
         # rows of the points in that voxel); ReLU never touches the last layer

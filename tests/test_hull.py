@@ -39,10 +39,7 @@ class TestConstruction:
 
 class TestCoefficients:
     def test_single_prototype_is_one(self):
-        bank = PrototypeBank(
-            np.ones((1, 4)), np.zeros((4, 2)), np.zeros((4, 2)),
-            require_overcomplete=False,
-        )
+        bank = PrototypeBank(np.ones((1, 4)), np.zeros((4, 2)), np.zeros((4, 2)))
         a = bank.coefficients(np.array([[1.0, 2.0, 3.0, 4.0]]))
         np.testing.assert_array_equal(a, [[1.0]])
 
@@ -94,8 +91,7 @@ class TestCoefficients:
 class TestProject:
     def test_single_prototype_returns_it(self):
         proto = np.array([[1.0, -2.0, 0.5, 3.0]])
-        bank = PrototypeBank(proto, np.zeros((4, 2)), np.zeros((4, 2)),
-                             require_overcomplete=False)
+        bank = PrototypeBank(proto, np.zeros((4, 2)), np.zeros((4, 2)))
         np.testing.assert_array_equal(bank.project(np.zeros((1, 4))), proto)
 
     def test_uniform_coefficients_give_mean(self):
@@ -146,17 +142,31 @@ class TestBackward:
     def test_zero_upstream(self):
         bank = tiny_bank()
         bank.project(np.random.default_rng(11).normal(size=(3, 4)), cache=True)
-        grads = bank.backward(np.zeros((3, 4)))
-        for g in grads:
-            assert np.all(np.asarray(g) == 0.0)
+        d_x, grads = bank.backward(np.zeros((3, 4)))
+        assert np.all(d_x == 0.0)
+        for g in grads.values():
+            assert np.all(g == 0.0)
 
     def test_zero_temperature_freezes_attention(self):
         bank = tiny_bank(lam=0.0)
         rng = np.random.default_rng(12)
         bank.project(rng.normal(size=(2, 4)), cache=True)
-        _, _, d_wk, d_wq = bank.backward(rng.normal(size=(2, 4)))
-        assert np.all(d_wk == 0.0)
-        assert np.all(d_wq == 0.0)
+        _, grads = bank.backward(rng.normal(size=(2, 4)))
+        assert np.all(grads["w_key"] == 0.0)
+        assert np.all(grads["w_query"] == 0.0)
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_grads_keyed_and_shaped_like_parameters(self, centered):
+        bank = tiny_bank(k=7, d=4, d_a=2, seed=3)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 4))
+        bank.project(x, cache=True, centered=centered)
+        d_x, grads = bank.backward(rng.normal(size=(5, 4)))
+        assert d_x.shape == x.shape
+        params = bank.parameters()
+        assert set(grads) == set(params)
+        for name, p in params.items():
+            assert grads[name].shape == p.shape and grads[name].dtype == p.dtype, name
 
     def test_matches_finite_differences(self):
         from scenehull.gradcheck import check_dcr

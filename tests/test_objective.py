@@ -104,10 +104,10 @@ class TestContrastiveLoss:
                             rng.normal(size=(5, 4)), normalize=True)
         feats = rng.normal(size=(6, 4))
         labels = rng.integers(0, 3, 6)
-        _, _, d_w = contrastive_loss(feats, labels, table)
+        _, _, grads = contrastive_loss(feats, labels, table)
         numeric = numeric_gradient(lambda: contrastive_loss(feats, labels, table)[0],
                                    table.w_proj)
-        assert compare("wproj", d_w, numeric).passed
+        assert compare("wproj", grads["w_proj"], numeric).passed
 
 
 class TestClassProbs:
@@ -167,6 +167,12 @@ class TestAdam:
             opt.step({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
         for k in params:
             np.testing.assert_array_equal(params[k], snapshot[k])
+
+    def test_missing_gradient_raises(self):
+        x, y = np.zeros(2), np.zeros(2)
+        opt = Adam({"x": x, "y": y}, lr=0.1)
+        with pytest.raises(KeyError, match="y"):
+            opt.step({"x": np.ones(2)})
 
     def test_descends_quadratic(self):
         x = np.array([5.0])
