@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorTable
-from .cli import (_BOOL, _INT, _NUMBER, _OBJECT, _OBJECT_LIST, _STRING, _STRING_LIST,
-                  _check_types)
+from .cli import (_BOOL, _INT, _NON_NEGATIVE_INT, _NUMBER, _OBJECT, _OBJECT_LIST, _REQUIRED,
+                  _STRING, _STRING_LIST, _parse)
 from .encoder import NUM_OFFSETS, ConvLayer, SparseEncoder
 from .hull import PrototypeBank
 from .objective import _prefixed
@@ -69,31 +69,27 @@ def _is_float_dtype(value) -> bool:
         return False
 
 
-_SHAPE = (lambda v: isinstance(v, list) and all(_INT[0](n) and n >= 0 for n in v),
+_SHAPE = (lambda v: isinstance(v, list) and all(_NON_NEGATIVE_INT[0](n) for n in v),
           "a list of non-negative integers")
-_HEADER_TYPES = {
-    "encoder": _OBJECT,
-    "bank": ((lambda v: v is None or isinstance(v, dict)), "an object or null"),
-    "anchors": _OBJECT,
-    "meta": _OBJECT,
-    "arrays": _OBJECT_LIST,
+_HEADER_SCHEMA = {
+    # load_checkpoint tests it first, naming the unsupported version
+    "format": ((lambda v: v == FORMAT_VERSION, str(FORMAT_VERSION)), _REQUIRED),
+    "encoder": (_OBJECT, _REQUIRED),
+    "bank": ((lambda v: v is None or isinstance(v, dict), "an object or null"), _REQUIRED),
+    "anchors": (_OBJECT, _REQUIRED),
+    "meta": (_OBJECT, _REQUIRED),
+    "arrays": (_OBJECT_LIST, _REQUIRED),
 }
-_SECTION_TYPES = {
-    "encoder": {"num_layers": _INT, "voxel_size": _NUMBER},
-    "bank": {"inv_temperature": _NUMBER},
-    "anchors": {"class_names": _STRING_LIST, "normalize": _BOOL},
+_SECTION_SCHEMAS = {
+    "encoder": {"num_layers": (_INT, _REQUIRED), "voxel_size": (_NUMBER, _REQUIRED)},
+    "bank": {"inv_temperature": (_NUMBER, _REQUIRED)},
+    "anchors": {"class_names": (_STRING_LIST, _REQUIRED), "normalize": (_BOOL, _REQUIRED)},
 }
-_ARRAY_ENTRY_TYPES = {"name": _STRING, "shape": _SHAPE,
-                      "dtype": (_is_float_dtype, "a float dtype such as '<f8'")}
-
-
-def _check_header(path, section, types: dict, name: str = "") -> None:
-    """ValueError naming the first header key of types that section lacks,
-    or whose value is not of its JSON type; name is the section's key."""
-    for key in types:
-        if not isinstance(section, dict) or key not in section:
-            raise ValueError(f"{path}: checkpoint header lacks {name}{'.' if name else ''}{key}")
-    _check_types(section, types, f"{path}: checkpoint header {name}".rstrip())
+_ARRAY_ENTRY_SCHEMA = {
+    "name": (_STRING, _REQUIRED),
+    "dtype": ((_is_float_dtype, "a float dtype such as '<f8'"), _REQUIRED),
+    "shape": (_SHAPE, _REQUIRED),
+}
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -109,13 +105,13 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"{path}: checkpoint header is not a JSON object")
         if header.get("format") != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint format {header.get('format')}")
-        _check_header(path, header, _HEADER_TYPES)
-        for section, types in _SECTION_TYPES.items():
+        _parse(header, _HEADER_SCHEMA, f"{path}: checkpoint header")
+        for section, schema in _SECTION_SCHEMAS.items():
             if header[section] is not None:
-                _check_header(path, header[section], types, section)
+                _parse(header[section], schema, f"{path}: checkpoint header {section}")
         arrays = {}
         for i, entry in enumerate(header["arrays"]):
-            _check_header(path, entry, _ARRAY_ENTRY_TYPES, f"arrays[{i}]")
+            _parse(entry, _ARRAY_ENTRY_SCHEMA, f"{path}: checkpoint header arrays[{i}]")
             dtype = np.dtype(entry["dtype"])
             shape = tuple(entry["shape"])
             count = int(np.prod(shape)) if shape else 1

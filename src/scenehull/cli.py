@@ -68,8 +68,6 @@ def load_manifest(path):
     from .scene import AugmentConfig
 
     manifest = _parse(_load_json(path, "manifest"), _MANIFEST_SCHEMA, "manifest")
-    if manifest["num_scenes"] < 0:
-        raise ConfigError(f"manifest.num_scenes must be >= 0, got {manifest['num_scenes']}")
     for i, entry in enumerate(manifest["models"]):
         _parse(entry, _MODEL_SCHEMA, f"manifest.models[{i}]")
     augment = _parse(manifest["augment"], _dataclass_schema(AugmentConfig), "manifest.augment")
@@ -77,11 +75,7 @@ def load_manifest(path):
         manifest["_augment"] = AugmentConfig(**augment)
     except ValueError as exc:
         raise ConfigError(f"manifest.augment: {exc}") from None
-    (xmin, ymin), (xmax, ymax) = manifest["xy_bounds"]
-    if xmin > xmax or ymin > ymax:
-        raise ConfigError(f"manifest: xy_bounds minimum {[xmin, ymin]} is above its "
-                          f"maximum {[xmax, ymax]}")
-    manifest["_bounds"] = ((float(xmin), float(ymin)), (float(xmax), float(ymax)))
+    manifest["_bounds"] = tuple(tuple(map(float, pair)) for pair in manifest["xy_bounds"])
     manifest["_base"] = str(Path(path).resolve().parent)
     return manifest
 
@@ -149,8 +143,9 @@ _STRING_LIST = (lambda v: isinstance(v, list) and all(isinstance(w, str) for w i
                 "a list of strings")
 _OBJECT_LIST = (lambda v: isinstance(v, list) and all(isinstance(w, dict) for w in v),
                 "a list of objects")
-_XY_BOUNDS = (lambda v: isinstance(v, list) and len(v) == 2 and all(_is_xy_pair(p) for p in v),
-              "a list of two [x, y] pairs of finite numbers")
+_XY_BOUNDS = (lambda v: isinstance(v, list) and len(v) == 2 and all(_is_xy_pair(p) for p in v)
+              and all(low <= high for low, high in zip(*v)),
+              "[[xmin, ymin], [xmax, ymax]] of finite numbers, min <= max")
 
 # A schema maps each key of a JSON object to (type, default). A key whose
 # default is _REQUIRED must be given; one whose default is _UNSET stays
@@ -161,7 +156,7 @@ _UNSET = object()
 _MANIFEST_SCHEMA = {
     "models": (_OBJECT_LIST, _REQUIRED),
     "seed": (_NON_NEGATIVE_INT, 0),
-    "num_scenes": (_INT, 1),
+    "num_scenes": (_NON_NEGATIVE_INT, 1),
     "points_per_model": (_POSITIVE_INT, 8196),
     "xy_bounds": (_XY_BOUNDS, [[0.0, 0.0], [4.0, 4.0]]),
     "floor_percentile": (_NUMBER, 1.0),
@@ -201,14 +196,6 @@ def _dataclass_schema(cls) -> dict:
     return {f.name: (kinds[type(f.default)], f.default) for f in dataclasses.fields(cls)}
 
 
-def _check_types(data: dict, types: dict, where: str) -> None:
-    """ConfigError naming the first key of data whose JSON value is not of
-    its type in types; keys absent from data are not checked."""
-    for key, (valid, kind) in types.items():
-        if key in data and not valid(data[key]):
-            raise ConfigError(f"{where}: {key} must be {kind}, got {data[key]!r}")
-
-
 def _parse(data: dict, schema: dict, where: str) -> dict:
     """A new dict of data with the defaults of schema filled in; ConfigError
     for an unknown key, a missing required key or a value of the wrong type."""
@@ -219,7 +206,9 @@ def _parse(data: dict, schema: dict, where: str) -> dict:
                if default is _REQUIRED and key not in data]
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    _check_types(data, {key: kind for key, (kind, _) in schema.items()}, where)
+    for key, ((valid, kind), _) in schema.items():
+        if key in data and not valid(data[key]):
+            raise ConfigError(f"{where}: {key} must be {kind}, got {data[key]!r}")
     resolved = {key: default for key, (_, default) in schema.items()
                 if default is not _REQUIRED and default is not _UNSET}
     resolved.update(data)
@@ -441,10 +430,7 @@ def cmd_eval(args) -> int:
     if classes_path.exists():
         class_names = dict(enumerate(_read_class_list(classes_path)))
 
-    if args.foreground:
-        foreground = [int(c) for c in args.foreground.split(",")]
-    else:
-        foreground = list(range(probs.shape[1]))
+    foreground = args.foreground or list(range(probs.shape[1]))
     report = evaluate_salient(probs, gt.labels, foreground, class_names=class_names)
     if args.miou:
         pred = probs.argmax(axis=1)
@@ -491,32 +477,33 @@ def cmd_toy(args) -> int:
 # Argument parsing / dispatch
 # ---------------------------------------------------------------------------
 
-def _int_at_least(low: int):
-    """argparse type: an integer of at least low; argparse exits 2 naming
-    the flag."""
-    def parse(text):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+def _flag(convert, kind):
+    """argparse type: the text read by convert (int or float), then tested
+    by kind, the schema type a JSON key of the same range uses; argparse
+    exits 2 naming the flag."""
+    valid, description = kind
 
-    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    def parse(text):
+        try:
+            value = convert(text)
+            if valid(value):
+                return value
+        except ValueError:  # not a number
+            pass
+        raise argparse.ArgumentTypeError(f"must be {description}, got {text!r}")
+
     return parse
 
 
-def _positive_finite(text):
-    """argparse type: a positive finite float; argparse exits 2 naming the flag."""
-    value = float(text)
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-_positive_finite.__name__ = "float"  # argparse names it in "invalid float value"
+def _class_ids(text):
+    """argparse type for eval --foreground: comma-separated class ids; the
+    empty string, like the absent flag, selects every column."""
+    class_id = _flag(int, _NON_NEGATIVE_INT)
+    return [class_id(part) for part in text.split(",")] if text else []
 
 
 def build_parser() -> argparse.ArgumentParser:
-    non_negative, positive = _int_at_least(0), _int_at_least(1)
+    non_negative, positive = _flag(int, _NON_NEGATIVE_INT), _flag(int, _POSITIVE_INT)
     parser = argparse.ArgumentParser(
         prog="scenehull",
         description="Simulate crowded point-cloud scenes, train hull-regularized "
@@ -543,14 +530,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train encoder, prototype bank and anchors")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=non_negative, default=None, help="override config seed")
-    p.add_argument("--epochs", type=int, default=None, help="override config epochs")
+    p.add_argument("--epochs", type=non_negative, default=None, help="override config epochs")
     p.add_argument("-o", "--out", required=True, help="output run directory")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("infer", help="per-point class probabilities for a scene")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene", required=True)
-    p.add_argument("--temperature", type=_positive_finite, default=1.0)
+    p.add_argument("--temperature", type=_flag(float, _POSITIVE), default=1.0)
     p.add_argument("--extend-classes", default="",
                    help="comma-separated unseen class names to add before inference")
     p.add_argument("--embeddings", default=None,
@@ -561,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="AP/AmAP (and optional mIoU) from probabilities")
     p.add_argument("--probs", required=True)
     p.add_argument("--gt", required=True, help="labeled scene file")
-    p.add_argument("--foreground", default="",
+    p.add_argument("--foreground", type=_class_ids, default=None,
                    help="comma-separated foreground class ids (default: all columns)")
     p.add_argument("--miou", action="store_true", help="also report argmax mIoU")
     p.add_argument("-o", "--out", default=None, help="report file (.kv written alongside)")

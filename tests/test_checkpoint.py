@@ -137,7 +137,8 @@ class TestGuards:
         else:
             del header[leaf]
         path.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload)
-        with pytest.raises(ValueError, match=re.escape(f"checkpoint header lacks {key}")):
+        where = f"checkpoint header {section}" if section else "checkpoint header"
+        with pytest.raises(ValueError, match=re.escape(f"{where}: missing keys ['{leaf}']")):
             load_checkpoint(path)
 
     @staticmethod

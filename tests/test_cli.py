@@ -4,15 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scenehull.cli import _THREAD_VARS, main
+from scenehull.cli import _NON_NEGATIVE_INT, _POSITIVE, _THREAD_VARS, build_parser, main
 from scenehull.toydata import build_toy_dataset
 
+# pytest's pythonpath setting does not reach a subprocess
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 RUN_ENV = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", NUMEXPR_NUM_THREADS="1")
+               MKL_NUM_THREADS="1", NUMEXPR_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(args):
@@ -109,9 +113,9 @@ class TestSimulate:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field, value, message", [
-        ("num_scenes", -1, "manifest.num_scenes must be >= 0"),
+        ("num_scenes", -1, "manifest: num_scenes must be a non-negative integer"),
         ("points_per_model", 0, "manifest: points_per_model must be a positive integer"),
-        ("xy_bounds", [[0.0, 3.0], [3.0, 0.0]], "manifest: xy_bounds minimum"),
+        ("xy_bounds", [[0.0, 3.0], [3.0, 0.0]], "manifest: xy_bounds must be"),
         ("augment.scale_min", 1.2, "manifest.augment: need 0 < scale_min <= scale_max"),
         ("seed", -1, "manifest: seed must be a non-negative integer"),
         # -1 is the background label
@@ -250,6 +254,11 @@ class TestTrain:
     def test_out_of_range_flag_exit_2(self, toy_dir, trained_run, tmp_path, capsys):
         assert_flag_rejected(["train", "--config", toy_dir / "quick_train.json",
                               "--seed", -1, "-o", tmp_path / "run"], "--seed", capsys)
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_epochs_flag_exit_2(self, toy_dir, trained_run, tmp_path, capsys):
+        assert_flag_rejected(["train", "--config", toy_dir / "quick_train.json",
+                              "--epochs", -1, "-o", tmp_path / "run"], "--epochs", capsys)
         assert not (tmp_path / "run").exists()
 
     def test_non_finite_parameters_diverged(self, toy_dir, trained_run, tmp_path, capsys):
@@ -408,6 +417,13 @@ class TestInferEval:
         assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path]) == 2
         assert f"config error: {gt_path} line 2: bad point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("foreground", ["x,1", "0,,1", "-1"])
+    def test_bad_foreground_exit_2(self, tmp_path, capsys, foreground):
+        # argparse rejects it before either (absent) input file is read
+        assert_flag_rejected(["eval", "--probs", tmp_path / "absent.txt",
+                              "--gt", tmp_path / "absent_gt.txt", "--foreground", foreground],
+                             "--foreground", capsys)
+
     def test_zero_shot_extension(self, toy_dir, trained_run, tmp_path):
         scenes = tmp_path / "scenes"
         assert run_cli(["simulate", "--manifest", toy_dir / "manifest.json",
@@ -453,7 +469,26 @@ class TestInferEval:
         scene.write_text("0 0 0\n0.1 0 0\n")
         code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
         assert code == 2
-        assert "checkpoint header lacks encoder" in capsys.readouterr().err
+        assert "checkpoint header: missing keys ['encoder']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["", "encoder", "bank", "anchors", "arrays[0]"])
+    def test_checkpoint_unknown_header_key_config_error(self, trained_run, tmp_path, capsys,
+                                                        section):
+        with open(trained_run / "checkpoint.bin", "rb") as fh:
+            magic = fh.readline()
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        target = (header["arrays"][0] if section == "arrays[0]"
+                  else header[section] if section else header)
+        target["extra"] = 1
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(magic + json.dumps(header).encode() + b"\n" + payload)
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0 0 0\n0.1 0 0\n")
+        code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
+        assert code == 2
+        where = f"checkpoint header {section}" if section else "checkpoint header"
+        assert f"{where}: unknown keys ['extra']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("num_layers", "3"), ("dtype", "zz")])
     def test_checkpoint_wrong_header_type_config_error(self, trained_run, tmp_path, capsys,
@@ -568,6 +603,22 @@ class TestThreadsFlag:
         assert_flag_rejected(["--threads", value, "toy", "-o", tmp_path / "toy"],
                              "--threads", capsys)
         assert not (tmp_path / "toy").exists()
+
+
+class TestFlagTypes:
+    @pytest.mark.parametrize("value", [-1, 0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("argv, flag, kind", [
+        (["gradcheck"], "--seed", _NON_NEGATIVE_INT),
+        (["infer", "--checkpoint", "c.bin", "--scene", "s.txt", "-o", "p.txt"],
+         "--temperature", _POSITIVE),
+    ], ids=["--seed", "--temperature"])
+    def test_flag_rejects_what_its_schema_type_rejects(self, capsys, argv, flag, kind, value):
+        # parse only: an accepted value must not run the command
+        args = [*argv, flag, str(value)]
+        if kind[0](value):
+            build_parser().parse_args(args)
+        else:
+            assert_flag_rejected(args, flag, capsys)
 
 
 class TestSubprocessEntry:
