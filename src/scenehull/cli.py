@@ -394,11 +394,14 @@ def cmd_infer(args) -> int:
     cloud = geometry.load_points(args.scene)
     probs, point_to_voxel = infer_voxels(cloud, ckpt.encoder, ckpt.bank, table,
                                          temperature=args.temperature)
-    # one line per point; the points of a voxel share its line, formatted once
+    # one line per point, formatted once per voxel, from parts of the rows
     fmt = " ".join(["%.17g"] * probs.shape[1]) + "\n"
-    lines = [fmt % row for row in zip(*probs.T.tolist())]
+    part = 4096
+    lines = [fmt % row for lo in range(0, len(probs), part)
+             for row in zip(*probs[lo:lo + part].T.tolist())]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(map(lines.__getitem__, point_to_voxel.tolist()))
+        for lo in range(0, len(point_to_voxel), part):
+            fh.writelines(map(lines.__getitem__, point_to_voxel[lo:lo + part].tolist()))
     classes_path = Path(args.out).with_suffix(".classes.txt")
     with open(classes_path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{name}\n" for name in table.class_names))
@@ -417,7 +420,15 @@ def cmd_eval(args) -> int:
                 "out": str(args.out) if args.out else None}
     _log_config("eval", resolved)
 
-    probs = np.loadtxt(args.probs, dtype=np.float64, ndmin=2)
+    try:
+        probs = np.loadtxt(args.probs, dtype=np.float64, ndmin=2)
+    except ValueError as exc:  # ragged rows, or a field that is not a number
+        raise ConfigError(f"{args.probs}: {str(exc).split(';')[0]}") from None
+    finite = np.isfinite(probs).all(axis=1)
+    if not finite.all():
+        lines = list(geometry._meaningful_lines(Path(args.probs).read_text(encoding="utf-8")))
+        lineno, line = lines[finite.argmin()]
+        raise ConfigError(f"{args.probs} line {lineno}: probability not finite: {line!r}")
     gt = geometry.load_points(args.gt)
     if gt.labels is None:
         raise ConfigError(f"{args.gt}: ground-truth file has no labels")

@@ -5,31 +5,34 @@ set (stride 1, no resampling), so the kernel map is built once per grid and
 read by every layer, forward and backward.
 
 The kernel map holds, per kernel offset, the (rows_out, rows_in) neighbour
-pairs, sorted by rows_out, and where each block of BLOCK_ROWS output rows
-starts in them. Offset 26 - o is offset o with its two sides swapped and the
-centre offset is the identity, so 13 key searches build all 27 maps.
+pairs, sorted by rows_out. Offset 26 - o is offset o with its two sides
+swapped and the centre offset is the identity, so 13 key searches build all
+27 maps. Its block plan splits the output rows into blocks of BLOCK_ROWS.
 
-The forward pass runs block by block: inside a block each offset gathers its
-input rows, multiplies by its weight and adds into the block's output rows,
-in offset order 0..26, so the output rows stay in cache. Every output row
-adds the same terms in the same order as an unblocked per-offset pass, and
-the result is bit-identical to it, given two facts about numpy's matrix
-product that tests/test_encoder.py checks: a row of a GEMM does not depend on
-how many rows are multiplied with it, but a single-row product takes the
-gemv path, which sums in another order. So a block that holds one pair of an
-offset with more pairs multiplies that row twice and keeps one; an offset
-with one pair in the whole grid keeps gemv. When a layer's input is the
-constant 1 that voxelize gives, each term is exactly a weight row, which is
-added with no gather and no GEMM.
+The forward pass is one block pipeline through the stack: a layer computes
+its next block as soon as the layer below has produced the input rows that
+block reads, then drops the rows that no later block reads. Inference feeds
+the last layer's blocks straight into the readout, so each layer holds a
+window of its input, about two x-slices of the scan plus a block, and no
+whole layer exists. Inside a block each offset gathers its input rows,
+multiplies by its weight and adds into the block's output rows, in offset
+order 0..26. Every output row adds the same terms in the same order as an
+unblocked per-offset pass, and the result is bit-identical to it, given two
+facts about numpy's matrix product that tests/test_encoder.py checks: a row
+of a GEMM does not depend on how many rows are multiplied with it, but a
+single-row product takes the gemv path, which sums in another order. So a
+block that holds one pair of an offset with more pairs multiplies that row
+twice and keeps one; an offset with one pair in the whole grid keeps gemv.
+When a layer's input is the constant 1 that voxelize gives, each term is
+exactly a weight row, which is added with no gather and no GEMM.
 
 Gradients for all kernel weights and biases are accumulated by hand in
 reverse mode, which lets them be checked against central finite differences
 in double precision. The backward pass is unblocked: the weight gradient is
 one GEMM per offset over all its pairs, and splitting that sum would change
-it. The cache it reads, every layer's input, exists for training only:
-forward() keeps it, forward_grid() only when asked, so inference holds one
-layer's output at a time. The ReLU runs in place; backward() reads its
-output, which is positive exactly where its pre-activation is.
+it. It reads every layer's input, which forward() keeps by draining each
+layer of the pipeline into a whole array. The ReLU runs in place; backward()
+reads its output, which is positive exactly where its pre-activation is.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class SparseFeatureGrid:
         if len(self.feats) != len(self.coords):
             raise ValueError("feats must have one row per voxel")
         self._neighbor_maps = None
-        self._block_starts = None
+        self._plan = None
 
     @property
     def num_voxels(self) -> int:
@@ -76,15 +79,8 @@ class SparseFeatureGrid:
         both sides for a fixed offset, so scatter-adds below never collide."""
         if self._neighbor_maps is None:
             self._neighbor_maps = _build_neighbor_maps(self.coords)
-            self._block_starts = _block_starts(self._neighbor_maps, self.num_voxels)
+            self._plan = _block_plan(self._neighbor_maps, self.num_voxels)
         return self._neighbor_maps
-
-    def _with_feats(self, feats: np.ndarray) -> "SparseFeatureGrid":
-        """The same voxels with other features, sharing this kernel map."""
-        grid = SparseFeatureGrid(self.coords, feats, self.point_to_voxel)
-        grid._neighbor_maps = self.neighbor_maps
-        grid._block_starts = self._block_starts
-        return grid
 
 
 def pack_keys(cells: np.ndarray, lo: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -125,11 +121,22 @@ def _build_neighbor_maps(coords: np.ndarray):
     return maps
 
 
-def _block_starts(maps, num_voxels: int) -> list:
-    """Per offset, where each block of BLOCK_ROWS output rows starts in its
-    pairs, plus the pair count: block b holds pairs starts[o][b]:starts[o][b+1]."""
-    edges = np.arange(0, num_voxels + BLOCK_ROWS, BLOCK_ROWS).clip(max=num_voxels)
-    return [np.searchsorted(rows_out, edges).tolist() for rows_out, _ in maps]
+def _block_plan(maps, num_voxels: int):
+    """Block b: output rows edges[b]:edges[b+1] (BLOCK_ROWS, a one-row tail
+    joins the block before), pairs starts[o][b]:starts[o][b+1] of offset o.
+    Blocks 0..b read input rows below need[b], blocks b.. none below
+    keep[b]; a later block may read lower rows than an earlier one."""
+    edges = [*range(0, max(num_voxels - 1, 1), BLOCK_ROWS), num_voxels]
+    starts, need, keep = [], 0, num_voxels
+    for rows_out, rows_in in maps:
+        s = np.searchsorted(rows_out, edges)
+        starts.append(s.tolist())
+        # 1 + max of rows_in[:k], and min of rows_in[k:], at every k
+        high = np.concatenate([[0], np.maximum.accumulate(rows_in) + 1])
+        low = np.concatenate([np.minimum.accumulate(rows_in[::-1])[::-1], [num_voxels]])
+        need = np.maximum(need, high[s[1:]])
+        keep = np.minimum(keep, low[s[:-1]])
+    return edges, starts, need.tolist(), keep.tolist()
 
 
 def voxelize(pc: PointCloud, voxel_size: float, dtype=np.float64) -> SparseFeatureGrid:
@@ -178,37 +185,47 @@ class ConvLayer:
         return self.weight.shape[2]
 
 
-def sparse_conv_forward(grid: SparseFeatureGrid, layer: ConvLayer) -> np.ndarray:
-    """out[v] = bias + sum over offsets o of feat[v + o] @ W[o], active
-    neighbors only: the pre-activation, which forward_grid rectifies in place.
-
-    Runs over blocks of BLOCK_ROWS output rows; each row adds its terms in
-    offset order, bit-identical to one unblocked pass per offset (see the
-    module docstring for the single-pair rule).
-    """
-    feats = grid.feats
-    if feats.shape[1] != layer.in_width:
-        raise ValueError(
-            f"layer expects width {layer.in_width}, grid has {feats.shape[1]}"
-        )
-    maps = grid.neighbor_maps
-    starts = grid._block_starts
+def sparse_conv_forward(grid: SparseFeatureGrid, layer: ConvLayer, below=None):
+    """An iterator over the blocks of out[v] = bias + sum over offsets o of
+    feat[v + o] @ W[o], active neighbors only: the pre-activation, which
+    forward_grid rectifies in place. below yields the input rows in
+    consecutive blocks; by default they are grid.feats. The kernel map is
+    built before this returns."""
+    maps, feats = grid.neighbor_maps, grid.feats
+    if below is None and feats.shape[1] != layer.in_width:
+        raise ValueError(f"layer expects width {layer.in_width}, grid has {feats.shape[1]}")
     # 1 @ W[o] is exactly the row W[o, 0]
-    unit = feats.shape[1] == 1 and bool(np.all(feats == 1))
-    out = np.tile(layer.bias.astype(feats.dtype), (grid.num_voxels, 1))
-    for b in range(len(starts[0]) - 1):
+    unit = below is None and feats.shape[1] == 1 and bool(np.all(feats == 1))
+    below = iter([feats] if below is None else below)
+    return _conv_blocks(maps, grid._plan, below, layer, unit, feats.dtype)
+
+
+def _conv_blocks(maps, plan, below, layer, unit, dtype):
+    edges, starts, need, keep = plan
+    window, base, top = None, 0, 0  # the input rows base:top
+    for b in range(len(edges) - 1):
+        if not unit and top < need[b]:
+            pieces = [window[keep[b] - base:]] if top > keep[b] else []
+            while top < need[b]:
+                pieces.append(next(below))
+                top += len(pieces[-1])
+            window = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+            base = top - len(window)
+            del pieces  # the old window goes with it
+        out = np.tile(layer.bias.astype(dtype), (edges[b + 1] - edges[b], 1))
         for o, (rows_out, rows_in) in enumerate(maps):
             lo, hi = starts[o][b], starts[o][b + 1]
             if lo == hi:
                 continue
+            rows = rows_out[lo:hi] - edges[b]
             if unit:
-                out[rows_out[lo:hi]] += layer.weight[o, 0]
+                out[rows] += layer.weight[o, 0]
             elif hi - lo == 1 and len(rows_out) > 1:
                 # the GEMM path the whole offset takes, not gemv
-                out[rows_out[lo:hi]] += (feats[rows_in[[lo, lo]]] @ layer.weight[o])[:1]
+                out[rows] += (window[rows_in[[lo, lo]] - base] @ layer.weight[o])[:1]
             else:
-                out[rows_out[lo:hi]] += feats[rows_in[lo:hi]] @ layer.weight[o]
-    return out
+                out[rows] += window[rows_in[lo:hi] - base] @ layer.weight[o]
+        yield out
 
 
 class SparseEncoder:
@@ -261,23 +278,24 @@ class SparseEncoder:
             params[f"layers.{i}.bias"] = layer.bias
         return params
 
-    def forward_grid(self, grid: SparseFeatureGrid, cache: bool = False) -> np.ndarray:
-        """Run the stack on a prepared grid; returns (V, D) voxel features.
-
-        cache=True keeps every layer's input for backward(). Without it only
-        one layer's output lives at a time, and a later backward() raises.
+    def forward_grid(self, grid: SparseFeatureGrid, cache: bool = False,
+                     readout=None) -> np.ndarray:
+        """Run the stack on a prepared grid; returns (V, D) voxel features,
+        or the stacked readout(block) of each block of them. Without cache
+        the layers run as one block pipeline, and a later backward() raises;
+        cache=True drains each layer whole and keeps it for backward().
         """
-        inputs = []
-        feats = grid.feats
-        last = len(self.layers) - 1
+        inputs, blocks = [grid.feats], None  # the first layer reads grid.feats
         for i, layer in enumerate(self.layers):
-            if cache:
-                inputs.append(feats)
-            feats = sparse_conv_forward(grid._with_feats(feats), layer)
-            if i < last:
-                np.maximum(feats, 0.0, out=feats)
+            if cache and i:
+                inputs.append(np.concatenate(list(blocks)))
+                blocks = inputs[-1:]
+            blocks = sparse_conv_forward(grid, layer, blocks)
+            if i < len(self.layers) - 1:
+                blocks = (np.maximum(block, 0.0, out=block) for block in blocks)
+        out = np.concatenate([block if readout is None else readout(block) for block in blocks])
         self._cache = {"grid": grid, "inputs": inputs} if cache else None
-        return feats
+        return out
 
     def voxelize(self, pc: PointCloud) -> SparseFeatureGrid:
         """The grid this encoder reads: its voxel size, its parameter dtype."""

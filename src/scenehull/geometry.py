@@ -9,9 +9,9 @@ function of (inputs, generator state), so a fixed seed replays byte-identically.
 from __future__ import annotations
 
 import heapq
-import io
+import itertools
 import math
-import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,25 +224,43 @@ _LOOP_ONLY = "#\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 def load_points(path) -> PointCloud:
     """Read "x y z" or "x y z label" lines; mixing the two is an error.
 
-    One np.loadtxt call parses a plain file. Text it cannot parse, or that
-    holds '#' or a line break it does not know, goes through the line loop,
-    which names the first bad line. Both read the same numbers bit for bit.
+    np.loadtxt parses a plain file, 4096 lines at a time, into arrays sized
+    by its line count, so the text is never held whole. Text it cannot
+    parse, or that holds '#' or a line break it does not know, goes through
+    the line loop, which names the first bad line. Both read the same
+    numbers bit for bit.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # with no break but '\n' left, the first meaningful line is the first
-    # line that is not blank
-    first = re.search(r"\S[^\n]*", text)
-    if first is not None and not any(c in text for c in _LOOP_ONLY):
-        labeled = len(first.group().split()) == 4
-        dtype = [("p", "f8", 3)] + ([("l", "i8")] if labeled else [])
-        try:
-            rows = np.loadtxt(io.StringIO(text), dtype=dtype, comments=None, ndmin=1)
-        except ValueError:
-            pass
-        else:
-            return PointCloud(np.ascontiguousarray(rows["p"]),
-                              np.ascontiguousarray(rows["l"]) if labeled else None)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            plain, lines = True, 1
+            for chunk in iter(lambda: fh.read(1 << 16), ""):
+                plain = plain and not any(c in chunk for c in _LOOP_ONLY)
+                lines += chunk.count("\n")
+            fh.seek(0)
+            first = next((line for line in fh if not line.isspace()), None)
+            if plain and first is not None:
+                labeled = len(first.split()) == 4
+                dtype = [("p", "f8", 3)] + ([("l", "i8")] if labeled else [])
+                positions, n = np.empty((lines, 3)), 0
+                labels = np.empty(lines, np.int64) if labeled else None
+                fh.seek(0)
+                try:
+                    with warnings.catch_warnings():  # a run of blank lines holds no data
+                        warnings.simplefilter("ignore", UserWarning)
+                        for part in iter(lambda: list(itertools.islice(fh, 4096)), []):
+                            rows = np.loadtxt(part, dtype=dtype, comments=None, ndmin=1)
+                            positions[n:n + len(rows)] = rows["p"]
+                            if labeled:
+                                labels[n:n + len(rows)] = rows["l"]
+                            n += len(rows)
+                except ValueError:
+                    pass
+                else:
+                    return PointCloud(positions[:n], None if labels is None else labels[:n])
+            fh.seek(0)
+            text = fh.read()
+    except UnicodeDecodeError as exc:  # its position counts from a part, not the file
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return _parse_point_lines(path, text)
 
 

@@ -210,7 +210,7 @@ def check_dense_oracle(seed: int) -> CheckResult:
     layer = ConvLayer(rng.standard_normal((27, c_in, c_out)), rng.standard_normal(c_out))
     coords += rng.integers(-10, 10, size=3)
     grid = SparseFeatureGrid(coords, feats, np.arange(n_active))
-    sparse = sparse_conv_forward(grid, layer)
+    sparse = np.concatenate(list(sparse_conv_forward(grid, layer)))
     err = float(np.abs(sparse - dense_conv_reference(coords, feats, layer)).max())
     return CheckResult("encoder.dense_oracle", err, err, err < 1e-9)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorTable
-from .encoder import BLOCK_ROWS, SparseEncoder
+from .encoder import SparseEncoder
 from .hull import PrototypeBank, softmax
 from .scene import AugmentConfig, simulate_scene
 
@@ -290,31 +290,24 @@ def infer_voxels(
     and the (N,) index of each point's voxel row. Points in a voxel share
     its feature, so each point's distribution is its voxel's row.
 
-    The encoder keeps no training cache, and the hull and the anchors read
-    blocks of BLOCK_ROWS voxel rows into one (V, C) array, so no (V, K)
-    hull temporary is ever built. Every step works row by row, so the rows
-    equal one unblocked pass bit for bit. The exception is a one-row
-    product, which takes numpy's gemv path (see encoder.py), so a one-row
-    tail joins the block before it.
+    The hull and the anchors read each block of the encoder's last layer as
+    the block pipeline makes it (see encoder.py), so neither a whole layer
+    nor a (V, K) hull temporary is ever built. Every step works row by row,
+    and the rows equal one unblocked pass bit for bit.
     """
     if bank is not None and bank.feature_dim != encoder.feature_dim:
         raise ValueError("bank feature dim does not match encoder output")
     if table.feature_dim != encoder.feature_dim:
         raise ValueError("anchor projection does not match encoder output")
-    grid = encoder.voxelize(cloud)
-    feats = encoder.forward_grid(grid)
-    v = len(feats)
-    edges = list(range(0, v, BLOCK_ROWS)) + [v]
-    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-        del edges[-2]
-    blocks = []
-    for lo, hi in zip(edges, edges[1:]):
-        block = feats[lo:hi]
+
+    def readout(block):
         # centered readout: the prototype centroid is a constant that
         # training uses as a class bias; see hull.py
         projected = bank.project(block, centered=True) if bank is not None else block
-        blocks.append(class_probs(projected, table, temperature=temperature))
-    return np.concatenate(blocks), grid.point_to_voxel
+        return class_probs(projected, table, temperature=temperature)
+
+    grid = encoder.voxelize(cloud)
+    return encoder.forward_grid(grid, readout=readout), grid.point_to_voxel
 
 
 def infer_scene(cloud, encoder: SparseEncoder, bank: PrototypeBank | None, table: AnchorTable,

@@ -417,6 +417,29 @@ class TestInferEval:
         assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path]) == 2
         assert f"config error: {gt_path} line 2: bad point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, line", [("nan 0.5", 2), ("0.5 inf", 2), ("-inf 0.5", 3)])
+    def test_non_finite_probability_exit_2(self, tmp_path, capsys, bad, line):
+        # a nan row once scored AmAP 0.9167 and mIoU 1.0 with exit 0
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("0 0 0 0\n1 0 0 1\n2 0 0 1\n")
+        rows = ["0.9 0.1", "0.1 0.9", "0.2 0.8"]
+        rows[line - 1] = bad
+        probs_path = tmp_path / "p.txt"
+        probs_path.write_text("\n".join(rows) + "\n")
+        assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path, "--miou"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {probs_path} line {line}: probability not finite" in err
+
+    def test_ragged_probabilities_name_the_file(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("0 0 0 0\n1 0 0 1\n2 0 0 1\n")
+        probs_path = tmp_path / "p.txt"
+        probs_path.write_text("0.9 0.1\n0.1\n0.2 0.8\n")
+        assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {probs_path}: the number of columns changed" in err
+        assert "usecols" not in err
+
     @pytest.mark.parametrize("foreground", ["x,1", "0,,1", "-1"])
     def test_bad_foreground_exit_2(self, tmp_path, capsys, foreground):
         # argparse rejects it before either (absent) input file is read

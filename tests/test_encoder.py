@@ -79,7 +79,7 @@ class TestSparseConv:
         layer = ConvLayer(rng.normal(size=(27, 2, 3)), rng.normal(size=3))
         feats = rng.normal(size=(1, 2))
         grid = SparseFeatureGrid(np.array([[5, 5, 5]]), feats, np.array([0]))
-        out = sparse_conv_forward(grid, layer)
+        out = conv(grid, layer)
         center = 13  # offset (0, 0, 0)
         expected = layer.bias + feats[0] @ layer.weight[center]  # the pre-activation
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
@@ -88,7 +88,7 @@ class TestSparseConv:
         grid = SparseFeatureGrid(np.array([[0, 0, 0], [1, 0, 0]]), np.ones((2, 1)),
                                  np.array([0, 1]))
         layer = ConvLayer(np.zeros((27, 1, 4)), np.zeros(4))
-        out = sparse_conv_forward(grid, layer)
+        out = conv(grid, layer)
         np.testing.assert_array_equal(out, np.zeros((2, 4)))
 
     def test_matches_dense_reference(self):
@@ -103,6 +103,11 @@ class TestSparseConv:
         layer = ConvLayer(np.zeros((27, 3, 4)), np.zeros(4))
         with pytest.raises(ValueError):
             sparse_conv_forward(grid, layer)
+
+
+def conv(grid, layer):
+    """sparse_conv_forward drained into one (V, c_out) array."""
+    return np.concatenate(list(sparse_conv_forward(grid, layer)))
 
 
 def reference_neighbor_maps(coords):
@@ -141,6 +146,16 @@ def blocky_coords():
     return np.array(column + extra, dtype=np.int64)
 
 
+def floor_coords():
+    """A floor one voxel thick: 18 x-slices of 2400 y-rows, every third a
+    20-row doorway, 28920 voxels in 29 blocks. A block deep in the slice
+    after a doorway reads no row below that slice, but the next slice reads
+    back to the first rows of it: the lowest row a block reads falls from
+    one block to a later one."""
+    cells = [(x, y, 0) for x in range(18) for y in range(20 if x % 3 == 0 else 2400)]
+    return np.array(cells, dtype=np.int64)
+
+
 class TestKernelMap:
     def grids(self):
         rng = np.random.default_rng(8)
@@ -163,15 +178,27 @@ class TestKernelMap:
                 np.testing.assert_array_equal(inp, ref_in)
 
     def test_block_starts_split_pairs_by_output_block(self):
-        for coords in self.grids():
+        # the block plan: blocks of BLOCK_ROWS output rows, a one-row tail
+        # joined to the block before; where each block's pairs of an offset
+        # start; the input rows that blocks 0..b read below need[b], and
+        # that blocks b.. read from keep[b] on
+        for coords in [*self.grids(), floor_coords()]:
             grid = SparseFeatureGrid(coords, np.ones((len(coords), 1)), np.arange(len(coords)))
-            num_blocks = -(-len(coords) // BLOCK_ROWS)
-            for (rows_out, _), starts in zip(grid.neighbor_maps, grid._block_starts):
-                assert len(starts) == num_blocks + 1
-                assert starts[0] == 0 and starts[-1] == len(rows_out)
-                for b in range(num_blocks):
-                    block = rows_out[starts[b]:starts[b + 1]]
-                    assert np.all((block >= b * BLOCK_ROWS) & (block < (b + 1) * BLOCK_ROWS))
+            maps = grid.neighbor_maps  # builds the plan too
+            edges, starts, need, keep = grid._plan
+            sizes = np.diff(edges)
+            assert edges[0] == 0 and edges[-1] == len(coords)
+            assert np.all(sizes[:-1] == BLOCK_ROWS)
+            assert 2 <= sizes[-1] <= BLOCK_ROWS + 1 or len(coords) == 1
+            reads = [[] for _ in sizes]
+            for (rows_out, rows_in), s in zip(maps, starts):
+                assert s[0] == 0 and s[-1] == len(rows_out)
+                for b in range(len(sizes)):
+                    block = rows_out[s[b]:s[b + 1]]
+                    assert np.all((block >= edges[b]) & (block < edges[b + 1]))
+                    reads[b].extend(rows_in[s[b]:s[b + 1]].tolist())
+            assert need == [1 + max(max(r) for r in reads[:b + 1]) for b in range(len(reads))]
+            assert keep == [min(min(r) for r in reads[b:]) for b in range(len(reads))]
 
     def test_duplicate_coords_rejected(self):
         grid = SparseFeatureGrid(np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]]), np.ones((3, 1)),
@@ -207,7 +234,7 @@ class TestBlockedForward:
             grid = SparseFeatureGrid(coords, rng.standard_normal((len(coords), c_in)),
                                      np.arange(len(coords)))
             layer = ConvLayer(rng.standard_normal((27, c_in, c_out)), rng.standard_normal(c_out))
-            out = sparse_conv_forward(grid, layer)
+            out = conv(grid, layer)
             assert np.array_equal(out, reference_forward(grid, layer))
 
     def test_matches_unblocked_on_a_scan(self):
@@ -218,7 +245,7 @@ class TestBlockedForward:
         feats = rng.standard_normal((grid.num_voxels, 32))
         layer = ConvLayer(rng.standard_normal((27, 32, 64)), rng.standard_normal(64))
         work = SparseFeatureGrid(grid.coords, feats, grid.point_to_voxel)
-        assert np.array_equal(sparse_conv_forward(work, layer),
+        assert np.array_equal(conv(work, layer),
                               reference_forward(work, layer))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -230,7 +257,7 @@ class TestBlockedForward:
                                  np.arange(len(coords)))
         layer = ConvLayer(rng.standard_normal((27, 1, 32)).astype(dtype),
                           rng.standard_normal(32).astype(dtype))
-        out = sparse_conv_forward(grid, layer)
+        out = conv(grid, layer)
         assert out.dtype == dtype
         assert np.array_equal(out, reference_forward(grid, layer))
 
@@ -240,8 +267,58 @@ class TestBlockedForward:
         grid = SparseFeatureGrid(coords, np.full((len(coords), 1), 1.0), np.arange(len(coords)))
         grid.feats[7] = 0.5
         layer = ConvLayer(rng.standard_normal((27, 1, 8)), rng.standard_normal(8))
-        out = sparse_conv_forward(grid, layer)
+        out = conv(grid, layer)
         assert np.array_equal(out, reference_forward(grid, layer))
+
+
+class TestBlockPipeline:
+    @staticmethod
+    def grid(coords, feats=None):
+        feats = np.ones((len(coords), 1)) if feats is None else feats
+        return SparseFeatureGrid(coords, feats, np.arange(len(coords)))
+
+    def test_floor_reads_lower_rows_in_a_later_block(self):
+        coords = floor_coords()
+        assert len(coords) >= 8 * BLOCK_ROWS
+        lowest = np.full(-(-len(coords) // BLOCK_ROWS), len(coords))
+        for rows_out, rows_in in reference_neighbor_maps(coords):
+            np.minimum.at(lowest, rows_out // BLOCK_ROWS, rows_in)
+        # so rows may be dropped only below the lowest of all blocks to come
+        still_read = np.minimum.accumulate(lowest[::-1])[::-1]
+        assert np.any(lowest[:-1] > still_read[1:])
+
+    def test_streamed_equals_whole_layers_on_a_floor(self):
+        enc = SparseEncoder.create(widths=(32, 64, 96), seed=5)
+        coords = floor_coords()
+        feats = np.ones((len(coords), 1))
+        for i, layer in enumerate(enc.layers):
+            feats = reference_forward(self.grid(coords, feats), layer)
+            if i < len(enc.layers) - 1:
+                feats = np.maximum(feats, 0.0)
+        assert np.array_equal(enc.forward_grid(self.grid(coords)), feats)
+        assert np.array_equal(enc.forward_grid(self.grid(coords), cache=True), feats)
+
+    @pytest.mark.parametrize("num_voxels", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    def test_one_row_tail_joins_the_block_before(self, num_voxels):
+        # a one-row block would take gemv, in the conv and in the readout
+        rng = np.random.default_rng(num_voxels)
+        rows = np.arange(num_voxels)
+        coords = np.stack([rows // 40, rows % 40, np.zeros_like(rows)], axis=1)  # 40 wide
+        layer = ConvLayer(rng.standard_normal((27, 6, 5)), rng.standard_normal(5))
+        grid = self.grid(coords, rng.standard_normal((num_voxels, 6)))
+        assert np.array_equal(conv(grid, layer), reference_forward(grid, layer))
+
+        enc = SparseEncoder([ConvLayer(rng.standard_normal((27, 1, 8)), rng.standard_normal(8))])
+        w = rng.standard_normal((8, 3))
+        sizes = []
+
+        def readout(block):
+            sizes.append(len(block))
+            return block @ w
+
+        out = enc.forward_grid(self.grid(coords), readout=readout)
+        assert sizes == [BLOCK_ROWS] * (len(sizes) - 1) + [BLOCK_ROWS + 1]
+        assert np.array_equal(out, enc.forward_grid(self.grid(coords)) @ w)
 
 
 class TestEncoderForward:

@@ -1,6 +1,7 @@
 """Mesh loading, surface sampling and rigid transforms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,3 +468,44 @@ class TestLoadPointsMatchesLineLoop:
         assert outcome(load_points, path) == expected
         save_points(path, PointCloud(pc.positions))
         assert load_points(path).labels is None
+
+
+class TestLoadPointsMemory:
+    @staticmethod
+    def scan(path, n, seed, blank_run=0):
+        """A room-like scan with six decimals, about 30 bytes a line, and
+        optionally a run of blank lines in the middle."""
+        rng = np.random.default_rng(seed)
+        lines = [f"{x:.6f} {y:.6f} {z:.6f} {label}\n" for (x, y, z), label
+                 in zip(rng.uniform(-1.0, 9.0, size=(n, 3)).tolist(), rng.integers(-1, 5, n))]
+        lines[n // 2:n // 2] = ["\n"] * blank_run
+        path.write_text("".join(lines), encoding="utf-8")
+
+    def test_peak_below_twice_the_file(self, tmp_path):
+        path = tmp_path / "scan.txt"
+        self.scan(path, 175000, seed=2)  # the size of a room scan
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_points(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * size
+        assert outcome(load_points, path) == outcome(line_loop_load_points, path)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "scan.txt"
+        self.scan(path, 9000, seed=4)
+        data = bytearray(path.read_bytes())
+        data[150000] = 0xFF  # past the first part that is read
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"{path}: not UTF-8 text"):
+            load_points(path)
+
+    def test_a_run_of_blank_lines_across_parts(self, tmp_path, recwarn):
+        path = tmp_path / "scan.txt"
+        self.scan(path, 9000, seed=3, blank_run=9000)
+        assert outcome(load_points, path) == outcome(line_loop_load_points, path)
+        assert len(load_points(path)) == 9000
+        assert not recwarn.list

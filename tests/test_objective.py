@@ -27,6 +27,7 @@ from scenehull.objective import (
 )
 from scenehull.scene import AugmentConfig
 from scenehull import toydata
+from test_encoder import floor_coords
 
 
 def identity_table(c, d, names=None):
@@ -411,6 +412,22 @@ class TestBlockedInferScene:
         finally:
             tracemalloc.stop()
         assert peak < num_voxels * bank.num_prototypes * 8
+
+
+class TestStreamedInfer:
+    def test_peak_below_one_whole_last_layer(self):
+        # the conv stack streams into the readout: no (V, 96) layer exists
+        encoder, bank, table = TestBlockedInferScene.pieces()
+        coords = floor_coords()
+        cloud = PointCloud((coords + 0.5) * encoder.voxel_size)
+        tracemalloc.start()
+        try:
+            probs, _ = infer_voxels(cloud, encoder, bank, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(probs) == len(coords)
+        assert peak < len(coords) * encoder.feature_dim * 8
 
 
 def crowded_voxel_cloud(num_voxels, voxel_size, seed, copies=3):

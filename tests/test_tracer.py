@@ -1,0 +1,53 @@
+"""The contract between the encoder and perfbench/tracer.py.
+
+The tracer wraps encoder.sparse_conv_forward and, as soon as each call
+returns, counts its work from grid._neighbor_maps, grid.coords,
+grid.feats.dtype and the layer's weight. A change to the encoder that moves
+any of these zeroes the traced rows without failing a traced run; this test
+fails instead.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import test_objective
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_conv_counts_match_the_kernel_map():
+    tracing = load_tracer()
+    modules = {layer: importlib.import_module(f"scenehull.{layer}") for layer in tracing.LAYERS}
+    widths = (32, 64, 96)
+    encoder, bank, table = test_objective.TestBlockedInferScene.pieces(widths=widths)
+    num_voxels = 3 * modules["encoder"].BLOCK_ROWS + 5
+    cloud = test_objective.distinct_voxel_cloud(num_voxels, encoder.voxel_size, seed=6)
+    tracer = tracing.Tracer(modules, widths)
+    tracer.install()
+    try:
+        with tracer.root(0):
+            modules["objective"].infer_voxels(cloud, encoder, bank, table)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.summarize(tracer, {0}, widths, False)["metrics"]
+
+    grid = encoder.voxelize(cloud)
+    pairs = sum(len(rows_out) for rows_out, _ in grid.neighbor_maps)
+    assert pairs > grid.num_voxels  # voxels with neighbours, not only the centre
+    flop = sum(2.0 * pairs * layer.in_width * layer.out_width for layer in encoder.layers)
+    assert metrics["encoder.conv_gflop"][0] == pytest.approx(flop * 1e-9, rel=1e-12)
+    assert metrics["encoder.neighbors_per_voxel"][0] == pytest.approx(pairs / grid.num_voxels,
+                                                                      rel=1e-12)
+    assert metrics["encoder.voxels"][0] == grid.num_voxels
+    # three blocks of BLOCK_ROWS and a 5-row tail, one hull call each
+    assert metrics["hull.rows"][0] == grid.num_voxels / 4
