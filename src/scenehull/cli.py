@@ -81,12 +81,21 @@ def load_manifest(path):
 
 
 def _manifest_models(manifest, points_per_model, seed):
-    """Load meshes, normalize optional canonical heights, presample clouds."""
+    """The manifest's training library and its class names: each mesh
+    presampled at points_per_model and scaled to its optional canonical
+    height, plus the background scans. ConfigError when points_per_model is
+    too few to anchor-crop, for a flat model with a height, and for a
+    background with no points; callers make the run directory after."""
     import numpy as np
 
     from . import geometry
     from .objective import ModelSet
 
+    crop_anchor_max = manifest["_augment"].crop_anchor_max
+    if points_per_model < crop_anchor_max:
+        raise ConfigError(
+            f"points_per_model {points_per_model} is below manifest.augment.crop_anchor_max "
+            f"{crop_anchor_max}: the anchor crop needs that many points per model")
     base = Path(manifest["_base"])
     clouds: dict = {}
     negatives = set()
@@ -108,8 +117,13 @@ def _manifest_models(manifest, points_per_model, seed):
             negatives.add(class_id)
         if "name" in entry:
             names[class_id] = entry["name"]
-    backgrounds = [geometry.load_points(base / p) for p in manifest["backgrounds"]]
-    return ModelSet(clouds, frozenset(negatives)), backgrounds, names
+    backgrounds = []
+    for path in manifest["backgrounds"]:
+        scan = geometry.load_points(base / path)
+        if len(scan) == 0:
+            raise ConfigError(f"background {base / path}: no points")
+        backgrounds.append(scan)
+    return ModelSet(clouds, frozenset(negatives), backgrounds), names
 
 
 def _is_int(value) -> bool:
@@ -266,7 +280,7 @@ def cmd_simulate(args) -> int:
     resolved = {k: v for k, v in manifest.items() if not k.startswith("_")}
     resolved.update({"seed": seed, "points_per_model": points, "out": str(out_dir)})
     _log_config("simulate", resolved)
-    models, backgrounds, names = _manifest_models(manifest, points, seed)
+    models, names = _manifest_models(manifest, points, seed)
 
     # a rejected config leaves no run directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,23 +288,20 @@ def cmd_simulate(args) -> int:
     for i in range(manifest["num_scenes"]):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 15485863, i]))
         scene = compose_step_scene(
-            models, manifest["_augment"], rng, backgrounds=backgrounds or None,
-            xy_bounds=manifest["_bounds"], floor_z=manifest["floor_z"],
-            floor_percentile=manifest["floor_percentile"],
+            models, manifest["_augment"], rng, xy_bounds=manifest["_bounds"],
+            floor_z=manifest["floor_z"], floor_percentile=manifest["floor_percentile"],
         )
-        geometry.save_points(out_dir / f"scene_{i:03d}.txt", scene.cloud)
-        instances = []
-        for inst in np.unique(scene.cloud.instance_ids):
-            mask = scene.cloud.instance_ids == inst
-            label = int(scene.cloud.labels[mask][0])
-            instances.append({
-                "instance_id": int(inst),
-                "class_id": label,
-                "class_name": names.get(label),
-                "n_points": int(mask.sum()),
-            })
+        geometry.save_points(out_dir / f"scene_{i:03d}.txt", scene)
+        # every point of an instance carries its class: read it at the first
+        ids, first, counts = np.unique(scene.instance_ids, return_index=True,
+                                       return_counts=True)
+        classes = scene.labels[first]
+        instances = [{"instance_id": inst, "class_id": label, "class_name": names.get(label),
+                      "n_points": n}
+                     for inst, label, n in zip(ids.tolist(), classes.tolist(), counts.tolist())]
+        class_set = np.unique(classes[ids >= 0]).tolist()  # sorted, background left out
         with open(out_dir / f"scene_{i:03d}.json", "w", encoding="utf-8") as fh:
-            json.dump({"scene": i, "seed": seed, "class_set": scene.class_set,
+            json.dump({"scene": i, "seed": seed, "class_set": class_set,
                        "instances": instances}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"wrote {manifest['num_scenes']} scenes to {out_dir}")
@@ -347,7 +358,7 @@ def cmd_train(args) -> int:
     points = cfg.get("points_per_model", manifest["points_per_model"])
     class_names = _read_class_list(base / cfg["classes"])
     encoder, bank, table = _build_components(cfg, base / cfg["embeddings"], class_names)
-    models, backgrounds, _ = _manifest_models(manifest, points, cfg["seed"])
+    models, _ = _manifest_models(manifest, points, cfg["seed"])
 
     # a rejected config leaves no run directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -355,9 +366,8 @@ def cmd_train(args) -> int:
     with open(out_dir / "loss.log", "w", encoding="utf-8") as log:
         losses = train(
             models, table, encoder, bank, train_cfg, augment=manifest["_augment"],
-            backgrounds=backgrounds or None, xy_bounds=manifest["_bounds"],
-            floor_z=manifest["floor_z"], floor_percentile=manifest["floor_percentile"],
-            log_file=log,
+            xy_bounds=manifest["_bounds"], floor_z=manifest["floor_z"],
+            floor_percentile=manifest["floor_percentile"], log_file=log,
         )
     save_checkpoint(out_dir / "checkpoint.bin", encoder, bank, table,
                     meta={"train_config": {k: v for k, v in resolved.items() if k != "out"}})
@@ -380,12 +390,12 @@ def cmd_infer(args) -> int:
                 "extend_classes": args.extend_classes,
                 "embeddings": str(args.embeddings) if args.embeddings else None}
     _log_config("infer", resolved)
+    if args.extend_classes and not args.embeddings:
+        raise ConfigError("--extend-classes requires --embeddings")
 
     ckpt = load_checkpoint(args.checkpoint)
     table = ckpt.table
     if args.extend_classes:
-        if not args.embeddings:
-            raise ConfigError("--extend-classes requires --embeddings")
         new_names = [n for n in args.extend_classes.split(",") if n]
         # add_class rejects a vector whose dimension differs from the table's
         for name, vector in zip(new_names, class_vectors(args.embeddings, new_names)):

@@ -106,10 +106,6 @@ class PrototypeBank:
     def feature_dim(self) -> int:
         return self.prototypes.shape[1]
 
-    @property
-    def attention_dim(self) -> int:
-        return self.w_key.shape[1]
-
     def parameters(self) -> dict:
         return {
             "prototypes": self.prototypes,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .anchors import AnchorTable
 from .encoder import SparseEncoder
+from .geometry import PointCloud
 from .hull import PrototypeBank, softmax
 from .scene import AugmentConfig, simulate_scene
 
@@ -144,15 +145,18 @@ def _prefixed(**groups) -> dict:
 
 @dataclass
 class ModelSet:
-    """Training library: presampled clouds per class plus which classes are
-    negatives (trained against, never evaluated)."""
+    """Training library: presampled clouds per class, which classes are
+    negatives (trained against, never evaluated), and the background scans
+    a scene may be mixed over (none by default)."""
 
     clouds: dict            # class_id -> list of PointCloud
     negative_classes: frozenset = frozenset()
+    backgrounds: list = field(default_factory=list)  # of PointCloud
 
     def __post_init__(self):
         self.clouds = {int(c): list(v) for c, v in self.clouds.items()}
         self.negative_classes = frozenset(int(c) for c in self.negative_classes)
+        self.backgrounds = list(self.backgrounds)
         if not self.clouds:
             raise ValueError("no models")
         for c, lst in self.clouds.items():
@@ -169,27 +173,24 @@ def compose_step_scene(
     augment: AugmentConfig,
     rng: np.random.Generator,
     *,
-    backgrounds=None,
     xy_bounds=None,
     floor_z: float | None = None,
     floor_percentile: float = 1.0,
-):
-    """One training scene: one model per foreground class plus one negative,
-    optionally mixed over a background scan. Models stand on floor_z, or on
-    the background's floor_percentile z when it is None (0 with no
-    background)."""
-    picks = []
-    for c in models.foreground_classes:
-        variants = models.clouds[c]
-        picks.append((variants[int(rng.integers(len(variants)))], c))
+) -> PointCloud:
+    """One training scene as one labeled cloud: one model per foreground
+    class plus one negative, mixed over one of the library's background
+    scans when it has any. Models stand on floor_z, or on the background's
+    floor_percentile z when it is None (0 with no background)."""
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    picks = [(pick(models.clouds[c]), c) for c in models.foreground_classes]
     negatives = sorted(models.negative_classes)
     if negatives:
-        c = negatives[int(rng.integers(len(negatives)))]
-        variants = models.clouds[c]
-        picks.append((variants[int(rng.integers(len(variants)))], c))
-    background = None
-    if backgrounds:
-        background = backgrounds[int(rng.integers(len(backgrounds)))]
+        c = pick(negatives)
+        picks.append((pick(models.clouds[c]), c))
+    background = pick(models.backgrounds) if models.backgrounds else None
     return simulate_scene(
         background, picks, augment, rng,
         xy_bounds=xy_bounds, floor_z=floor_z, floor_percentile=floor_percentile,
@@ -204,7 +205,6 @@ def train(
     config: TrainConfig,
     augment: AugmentConfig | None = None,
     *,
-    backgrounds=None,
     xy_bounds=None,
     floor_z: float | None = None,
     floor_percentile: float = 1.0,
@@ -240,19 +240,16 @@ def train(
         step_losses = []
         for step in range(config.steps_per_epoch):
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch, step]))
-            scene = compose_step_scene(
-                models, augment, rng,
-                backgrounds=backgrounds, xy_bounds=xy_bounds,
-                floor_z=floor_z, floor_percentile=floor_percentile,
-            )
-            feats = encoder.forward(scene.cloud)
+            scene = compose_step_scene(models, augment, rng, xy_bounds=xy_bounds,
+                                       floor_z=floor_z, floor_percentile=floor_percentile)
+            feats = encoder.forward(scene)
             projected = bank.project(feats, cache=True) if config.use_dcr else feats
 
-            labeled = scene.cloud.labels >= 0
+            labeled = scene.labels >= 0
             if not labeled.any():
                 raise RuntimeError("scene contains no labeled points")
             loss, d_proj_labeled, table_grads = contrastive_loss(
-                projected[labeled], scene.cloud.labels[labeled], table
+                projected[labeled], scene.labels[labeled], table
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {epoch} step {step}")

@@ -10,7 +10,7 @@ placement index as instance id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +44,6 @@ class AugmentConfig:
             raise ValueError("overlap_keep_prob must be in [0, 1]")
         if self.overlap_voxel <= 0.0:
             raise ValueError("overlap_voxel must be positive")
-
-
-@dataclass
-class SimulatedScene:
-    """Composed labeled cloud plus the model classes it actually contains."""
-
-    cloud: PointCloud
-    class_set: list = field(default_factory=list)
 
 
 def anchor_crop(pc: PointCloud, config: AugmentConfig, rng: np.random.Generator) -> PointCloud:
@@ -142,21 +134,6 @@ def resolve_overlap(
     return scene_pts.select(keep_a), model_pts.select(keep_b)
 
 
-def concat_clouds(clouds) -> PointCloud:
-    """Concatenate clouds that all carry labels and instance ids."""
-    clouds = [c for c in clouds if len(c)]
-    if not clouds:
-        raise ValueError("nothing to concatenate")
-    for c in clouds:
-        if c.labels is None or c.instance_ids is None:
-            raise ValueError("concat requires fully annotated clouds")
-    return PointCloud(
-        np.concatenate([c.positions for c in clouds]),
-        np.concatenate([c.labels for c in clouds]),
-        np.concatenate([c.instance_ids for c in clouds]),
-    )
-
-
 def _annotate(pc: PointCloud, label: int, instance: int) -> PointCloud:
     n = len(pc)
     return PointCloud(
@@ -175,12 +152,14 @@ def simulate_scene(
     xy_bounds=None,
     floor_z: float | None = None,
     floor_percentile: float = 1.0,
-) -> SimulatedScene:
-    """Compose one labeled training scene.
+) -> PointCloud:
+    """Compose one labeled training scene as one cloud with labels and
+    instance ids.
 
     ``models`` is a list of (cloud, class_id). Each model is z-rotated,
     scaled, anchor-cropped and floor-placed, then overlap-filtered against
-    everything already placed. Background points get the reserved label.
+    everything already placed; model i carries instance id i. Background
+    points get the reserved label and instance id -1.
     """
     models = list(models)
     if not models:
@@ -204,10 +183,13 @@ def simulate_scene(
         placed = anchor_crop(placed, config, rng)
         placed = place_on_floor(placed, floor_z, xy_bounds, rng)
         placed = _annotate(placed, int(class_id), instance)
-        if composite is not None and len(composite):
-            composite, placed = resolve_overlap(composite, placed, config, rng)
-        composite = placed if composite is None else concat_clouds([composite, placed])
-
-    model_mask = composite.instance_ids >= 0
-    class_set = sorted(int(c) for c in np.unique(composite.labels[model_mask]))
-    return SimulatedScene(cloud=composite, class_set=class_set)
+        if composite is None:
+            composite = placed
+            continue
+        composite, placed = resolve_overlap(composite, placed, config, rng)
+        composite = PointCloud(
+            np.concatenate([composite.positions, placed.positions]),
+            np.concatenate([composite.labels, placed.labels]),
+            np.concatenate([composite.instance_ids, placed.instance_ids]),
+        )
+    return composite

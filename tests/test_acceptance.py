@@ -275,10 +275,10 @@ def _shifted_amap(models, table, encoder, bank, seed, n_scenes=8):
         rng = np.random.default_rng(np.random.SeedSequence([7777, seed, k]))
         scene = compose_step_scene(models, AugmentConfig(crop_prob=1.0), rng,
                                    xy_bounds=XY_BOUNDS)
-        jittered = scene.cloud.with_positions(
-            scene.cloud.positions + rng.normal(0.0, 0.01, scene.cloud.positions.shape))
+        jittered = scene.with_positions(
+            scene.positions + rng.normal(0.0, 0.01, scene.positions.shape))
         probs.append(infer_scene(jittered, encoder, bank, table))
-        gts.append(scene.cloud.labels)
+        gts.append(scene.labels)
     rep = evaluate_salient(np.concatenate(probs), np.concatenate(gts),
                            toydata.TOY_FOREGROUND)
     return rep.amap
@@ -413,11 +413,11 @@ def test_criterion_10_zero_shot(toy_dir, e2e):
                                   (box_cloud, 1)], AugmentConfig(), rng,
                            xy_bounds=XY_BOUNDS)
 
-    probs = infer_scene(scene.cloud, ck.encoder, ck.bank, table)
-    rows_ok = probs.shape == (len(scene.cloud), table.num_classes) and \
+    probs = infer_scene(scene, ck.encoder, ck.bank, table)
+    rows_ok = probs.shape == (len(scene), table.num_classes) and \
         np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
     pred = probs.argmax(axis=1)
-    unseen_mask = scene.cloud.labels == new_id
+    unseen_mask = scene.labels == new_id
     recall = float((pred[unseen_mask] == new_id).mean())
     ok = rows_ok and recall > 0.0
     _report(10, ok, f"extended table to {table.num_classes} classes; rows "

@@ -41,6 +41,37 @@ def toy_dir(tmp_path_factory):
     return path
 
 
+def write_manifest(toy_dir, path, **changes):
+    """The toy manifest with changes, written to path; its model paths are
+    made absolute so that it may live anywhere."""
+    data = json.loads((toy_dir / "manifest.json").read_text())
+    data.update(changes)
+    for entry in data["models"]:
+        entry["path"] = str(toy_dir / entry["path"])
+    path.write_text(json.dumps(data))
+    return path
+
+
+def write_train_config(toy_dir, path, manifest, **changes):
+    """A one-step toy train config on manifest, with changes, written to path."""
+    cfg = json.loads((toy_dir / "train_config.json").read_text())
+    cfg.update({"manifest": str(manifest), "classes": str(toy_dir / "classes.txt"),
+                "embeddings": str(toy_dir / "embeddings.txt"), "epochs": 1,
+                "steps_per_epoch": 1, "points_per_model": 128, **changes})
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def scan_with_floor(path, floor=0.3, n=2000, seed=11):
+    """A background scan: a noisy floor plane at z = floor over the toy
+    xy_bounds, plus a few points below it; returns its z column."""
+    rng = np.random.default_rng(seed)
+    z = np.concatenate([floor + rng.normal(0.0, 0.005, n), floor - rng.uniform(0.1, 0.5, 10)])
+    xy = rng.uniform(0.0, 3.0, size=(len(z), 2))
+    np.savetxt(path, np.column_stack([xy, z]), fmt="%.17g")
+    return z
+
+
 class TestSample:
     def test_writes_requested_count(self, toy_dir, tmp_path):
         out = tmp_path / "pts.txt"
@@ -170,6 +201,101 @@ class TestSimulate:
             outs.append(out)
         for fname in ("scene_000.txt", "scene_000.json", "scene_001.txt"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_background_scan_joins_the_scene(self, toy_dir, tmp_path):
+        z = scan_with_floor(tmp_path / "scan.txt")
+        # keep every overlapping point, so each model keeps its lowest one
+        augment = {"overlap_keep_prob": 1.0}
+        manifest = write_manifest(toy_dir, tmp_path / "bg.json", backgrounds=["scan.txt"],
+                                  floor_z=None, floor_percentile=2.0, augment=augment)
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--manifest", manifest, "--seed", 1, "-o", out]) == 0
+        floor = np.percentile(z, 2.0)
+        for scene in ("scene_000", "scene_001"):
+            rows = np.loadtxt(out / f"{scene}.txt", ndmin=2)
+            meta = json.loads((out / f"{scene}.json").read_text())
+            by_id = {inst["instance_id"]: inst for inst in meta["instances"]}
+            assert by_id[-1]["class_id"] == -1 and by_id[-1]["class_name"] is None
+            # the whole scan survives, every point labelled -1
+            assert by_id[-1]["n_points"] == len(z) == int((rows[:, 3] == -1).sum())
+            classes = sorted(inst["class_id"] for i, inst in by_id.items() if i >= 0)
+            assert meta["class_set"] == classes and -1 not in meta["class_set"]
+            for class_id in classes:
+                model_z = rows[rows[:, 3] == class_id, 2]
+                assert model_z.min() == pytest.approx(floor, abs=1e-12)
+
+        config = write_train_config(toy_dir, tmp_path / "train.json", manifest)
+        assert run_cli(["train", "--config", config, "-o", tmp_path / "trained"]) == 0
+        assert len((tmp_path / "trained" / "loss.log").read_text().splitlines()) == 1
+
+    def test_height_scales_model_to_that_extent(self, toy_dir, tmp_path):
+        from scenehull.cli import _manifest_models, load_manifest
+
+        data = json.loads((toy_dir / "manifest.json").read_text())
+        data["models"][0]["height"] = 1.5
+        data["models"][1]["height"] = 0.25
+        manifest = tmp_path / "height.json"
+        write_manifest(toy_dir, manifest, models=data["models"])
+        library, names = _manifest_models(load_manifest(manifest), 64, 0)
+        assert names == {0: "sphere", 1: "box", 2: "tube", 3: "cone"}
+        for class_id, height in ((0, 1.5), (1, 0.25)):
+            z = library.clouds[class_id][0].positions[:, 2]
+            assert z.max() - z.min() == pytest.approx(height, rel=1e-12)
+        plain, _ = _manifest_models(load_manifest(toy_dir / "manifest.json"), 64, 0)
+        np.testing.assert_array_equal(library.clouds[2][0].positions,
+                                      plain.clouds[2][0].positions)
+
+    def test_flat_model_with_height_config_error(self, toy_dir, tmp_path, capsys):
+        flat = tmp_path / "flat.off"
+        flat.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n")
+        data = json.loads((toy_dir / "manifest.json").read_text())
+        data["models"][1].update({"path": str(flat), "height": 1.0})
+        manifest = write_manifest(toy_dir, tmp_path / "flat.json", models=data["models"])
+        assert run_cli(["simulate", "--manifest", manifest, "-o", tmp_path / "run"]) == 2
+        assert f"model {flat}: flat model cannot be height-normalized" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    @pytest.mark.parametrize("scan", ["", "# no points\n\n"], ids=["empty", "comments"])
+    def test_background_without_points_config_error(self, toy_dir, tmp_path, capsys, command,
+                                                    scan):
+        (tmp_path / "scan.txt").write_text(scan)
+        manifest = write_manifest(toy_dir, tmp_path / "bg.json", backgrounds=["scan.txt"])
+        if command == "simulate":
+            argv = ["simulate", "--manifest", manifest]
+        else:
+            argv = ["train", "--config", write_train_config(toy_dir, tmp_path / "t.json", manifest)]
+        assert run_cli([*argv, "-o", tmp_path / "run"]) == 2
+        assert f"config error: background {tmp_path / 'scan.txt'}: no points" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("how", ["manifest", "--points", "train config"])
+    def test_too_few_points_to_crop_config_error(self, toy_dir, tmp_path, capsys, how):
+        # the toy augment has crop_anchor_max 5
+        manifest = write_manifest(toy_dir, tmp_path / "m.json",
+                                  points_per_model=4 if how == "manifest" else 128)
+        if how == "train config":
+            config = write_train_config(toy_dir, tmp_path / "t.json", manifest,
+                                        points_per_model=4)
+            argv = ["train", "--config", config]
+        else:
+            argv = ["simulate", "--manifest", manifest] + (["--points", 4] if how == "--points"
+                                                           else [])
+        assert run_cli([*argv, "-o", tmp_path / "run"]) == 2
+        assert ("config error: points_per_model 4 is below manifest.augment.crop_anchor_max 5"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid JSON in"), ("[1, 2]", "must hold a JSON object")])
+    def test_unreadable_manifest_names_the_file(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        assert run_cli(["simulate", "--manifest", manifest, "-o", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: manifest:" in err and message in err and str(manifest) in err
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.fixture(scope="module")
@@ -559,6 +685,56 @@ class TestInferEval:
         assert_flag_rejected(["infer", "--checkpoint", tmp_path / "absent.bin",
                               "--scene", tmp_path / "absent.txt", "--temperature", "0",
                               "-o", tmp_path / "probs.txt"], "--temperature", capsys)
+
+    def test_extend_classes_without_embeddings_before_any_read(self, tmp_path, capsys):
+        # the checkpoint is absent: reading it first would exit 3
+        probs = tmp_path / "probs.txt"
+        code = run_cli(["infer", "--checkpoint", tmp_path / "absent.bin",
+                        "--scene", tmp_path / "absent.txt", "--extend-classes", "ovoid",
+                        "-o", probs])
+        assert code == 2
+        assert "config error: --extend-classes requires --embeddings" in capsys.readouterr().err
+        assert not probs.exists()
+
+    @pytest.mark.parametrize("header, message", [
+        (b"[1, 2]", "checkpoint header is not a JSON object"),
+        (b'{"format": 99}', "unsupported checkpoint format 99")])
+    def test_checkpoint_header_shape_config_error(self, trained_run, tmp_path, capsys, header,
+                                                  message):
+        with open(trained_run / "checkpoint.bin", "rb") as fh:
+            magic = fh.readline()
+            fh.readline()
+            payload = fh.read()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(magic + header + b"\n" + payload)
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0 0 0\n0.1 0 0\n")
+        code = run_cli(["infer", "--checkpoint", bad, "--scene", scene, "-o", tmp_path / "p.txt"])
+        assert code == 2
+        assert f"config error: {bad}: {message}" in capsys.readouterr().err
+
+    def test_ground_truth_without_labels_config_error(self, tmp_path, capsys):
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("0 0 0\n1 0 0\n")
+        probs_path = tmp_path / "p.txt"
+        np.savetxt(probs_path, np.eye(2))
+        assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path]) == 2
+        assert f"config error: {gt_path}: ground-truth file has no labels" in \
+            capsys.readouterr().err
+
+    def test_class_absent_from_ground_truth_reported_skipped(self, tmp_path):
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("0 0 0 0\n1 0 0 1\n2 0 0 0\n")
+        probs_path = tmp_path / "p.txt"
+        np.savetxt(probs_path, np.full((3, 3), 1.0 / 3.0))
+        (tmp_path / "p.classes.txt").write_text("sphere\nbox\ntube\n")
+        report = tmp_path / "rep.txt"
+        assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path, "-o", report]) == 0
+        assert "skipped.tube absent_from_ground_truth\n" in (tmp_path / "rep.kv").read_text()
+        rows = report.read_text().splitlines()
+        assert f"{'tube':<16} {'skipped':>10}" in rows
+        assert not any(row.startswith("tube") and row != f"{'tube':<16} {'skipped':>10}"
+                       for row in rows)
 
     def test_truncated_checkpoint_io_error(self, trained_run, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

@@ -484,9 +484,8 @@ class TestComposeStepScene:
         # keep every overlapping point, so no placed model loses its lowest one
         augment = AugmentConfig(overlap_keep_prob=1.0)
         rng = np.random.default_rng(0)
-        scene = compose_step_scene(models, augment, rng, floor_z=5.0,
+        cloud = compose_step_scene(models, augment, rng, floor_z=5.0,
                                    xy_bounds=((0, 0), (1, 1)))
-        cloud = scene.cloud
         assert set(np.unique(cloud.instance_ids)) == {0, 1, 2}
         for inst in range(3):
             z = cloud.positions[cloud.instance_ids == inst, 2]
@@ -496,5 +495,5 @@ class TestComposeStepScene:
         models = toy_models()
         a = compose_step_scene(models, AugmentConfig(), np.random.default_rng(1))
         b = compose_step_scene(models, AugmentConfig(), np.random.default_rng(1), floor_z=None)
-        np.testing.assert_array_equal(a.cloud.positions, b.cloud.positions)
-        assert a.cloud.positions[:, 2].min() == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_array_equal(a.positions, b.positions)
+        assert a.positions[:, 2].min() == pytest.approx(0.0, abs=1e-12)

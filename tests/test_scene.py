@@ -175,23 +175,21 @@ class TestSimulateScene:
     def test_single_model_no_background(self):
         models = two_blob_models()[:1]
         scene = simulate_scene(None, models, AugmentConfig(), np.random.default_rng(0))
-        assert (scene.cloud.instance_ids == 0).all()
-        assert set(np.unique(scene.cloud.labels)) == {3}
-        assert scene.class_set == [3]
+        assert (scene.instance_ids == 0).all()
+        assert set(np.unique(scene.labels)) == {3}
 
     def test_two_models_labels_and_instances(self):
         scene = simulate_scene(None, two_blob_models(), AugmentConfig(),
                                np.random.default_rng(1))
-        labels = set(np.unique(scene.cloud.labels))
+        labels = set(np.unique(scene.labels))
         assert labels == {3, 7}
-        assert len(set(np.unique(scene.cloud.instance_ids))) == 2
-        assert scene.class_set == [3, 7]
+        assert len(set(np.unique(scene.instance_ids))) == 2
 
     def test_label_consistent_with_instance(self):
         scene = simulate_scene(None, two_blob_models(), AugmentConfig(),
                                np.random.default_rng(2))
-        for inst in np.unique(scene.cloud.instance_ids):
-            inst_labels = np.unique(scene.cloud.labels[scene.cloud.instance_ids == inst])
+        for inst in np.unique(scene.instance_ids):
+            inst_labels = np.unique(scene.labels[scene.instance_ids == inst])
             assert len(inst_labels) == 1
 
     def test_background_points_reserved_label(self):
@@ -200,26 +198,24 @@ class TestSimulateScene:
                                          np.zeros(500)]))
         scene = simulate_scene(bg, two_blob_models(), AugmentConfig(),
                                np.random.default_rng(4))
-        bg_mask = scene.cloud.instance_ids == -1
-        assert (scene.cloud.labels[bg_mask] == BACKGROUND_LABEL).all()
-        assert (scene.cloud.labels[~bg_mask] != BACKGROUND_LABEL).all()
-        # background label never leaks into class_set
-        assert BACKGROUND_LABEL not in scene.class_set
+        bg_mask = scene.instance_ids == -1
+        assert (scene.labels[bg_mask] == BACKGROUND_LABEL).all()
+        assert (scene.labels[~bg_mask] != BACKGROUND_LABEL).all()
 
     def test_instances_rest_on_floor(self):
         # no overlap filtering (keep everything) so every instance keeps its minimum
         cfg = AugmentConfig(overlap_keep_prob=1.0)
         scene = simulate_scene(None, two_blob_models(), cfg, np.random.default_rng(5))
-        for inst in np.unique(scene.cloud.instance_ids):
-            z = scene.cloud.positions[scene.cloud.instance_ids == inst, 2]
+        for inst in np.unique(scene.instance_ids):
+            z = scene.positions[scene.instance_ids == inst, 2]
             assert abs(z.min() - 0.0) < 1e-9
 
     def test_deterministic_replay(self):
         a = simulate_scene(None, two_blob_models(), AugmentConfig(), np.random.default_rng(6))
         b = simulate_scene(None, two_blob_models(), AugmentConfig(), np.random.default_rng(6))
-        np.testing.assert_array_equal(a.cloud.positions, b.cloud.positions)
-        np.testing.assert_array_equal(a.cloud.labels, b.cloud.labels)
-        np.testing.assert_array_equal(a.cloud.instance_ids, b.cloud.instance_ids)
+        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a.instance_ids, b.instance_ids)
 
     def test_empty_models_rejected(self):
         with pytest.raises(ValueError):

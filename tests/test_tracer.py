@@ -1,16 +1,19 @@
-"""The contract between the encoder and perfbench/tracer.py.
+"""The contract between the program and perfbench/tracer.py.
 
 The tracer wraps encoder.sparse_conv_forward and, as soon as each call
 returns, counts its work from grid._neighbor_maps, grid.coords,
-grid.feats.dtype and the layer's weight. A change to the encoder that moves
-any of these zeroes the traced rows without failing a traced run; this test
-fails instead.
+grid.feats.dtype and the layer's weight. Its scene rows time
+scene.simulate_scene, objective.compose_step_scene and scene.resolve_overlap
+by name. A change that moves any of these zeroes the traced rows without
+failing a traced run; these tests fail instead.
 """
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import test_objective
@@ -25,9 +28,13 @@ def load_tracer():
     return module
 
 
+def traced_modules(tracing):
+    return {layer: importlib.import_module(f"scenehull.{layer}") for layer in tracing.LAYERS}
+
+
 def test_traced_conv_counts_match_the_kernel_map():
     tracing = load_tracer()
-    modules = {layer: importlib.import_module(f"scenehull.{layer}") for layer in tracing.LAYERS}
+    modules = traced_modules(tracing)
     widths = (32, 64, 96)
     encoder, bank, table = test_objective.TestBlockedInferScene.pieces(widths=widths)
     num_voxels = 3 * modules["encoder"].BLOCK_ROWS + 5
@@ -51,3 +58,27 @@ def test_traced_conv_counts_match_the_kernel_map():
     assert metrics["encoder.voxels"][0] == grid.num_voxels
     # three blocks of BLOCK_ROWS and a 5-row tail, one hull call each
     assert metrics["hull.rows"][0] == grid.num_voxels / 4
+
+
+def test_traced_scene_rows_are_read():
+    tracing = load_tracer()
+    modules = traced_modules(tracing)
+    widths = (32, 64, 96)
+    models = test_objective.toy_models()
+    tracer = tracing.Tracer(modules, widths)
+    tracer.install()
+    try:
+        with tracer.root(0):
+            # a 1 m square: the three models overlap
+            modules["objective"].compose_step_scene(
+                models, modules["scene"].AugmentConfig(), np.random.default_rng(0),
+                xy_bounds=((0.0, 0.0), (1.0, 1.0)))
+    finally:
+        tracer.uninstall()
+    metrics = tracing.summarize(tracer, {0}, widths, False)["metrics"]
+
+    # a function the tracer no longer finds reads 0
+    for key in ("scene.simulate_scene_ms", "objective.compose_step_scene_ms",
+                "scene.resolve_overlap_ms"):
+        assert 0.0 < metrics[key][0] < math.inf, key
+    assert 0.0 < metrics["scene.overlap_keep_ratio"][0] <= 1.0
