@@ -146,6 +146,7 @@ _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 _POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
 _NUMBER = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
+_PERCENT = (lambda v: _is_number(v) and 0 <= v <= 100, "a number in [0, 100]")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 _NUMBER_OR_NULL = (lambda v: v is None or _is_number(v), "a finite number or null")
 _STRING = (lambda v: isinstance(v, str), "a string")
@@ -173,7 +174,7 @@ _MANIFEST_SCHEMA = {
     "num_scenes": (_NON_NEGATIVE_INT, 1),
     "points_per_model": (_POSITIVE_INT, 8196),
     "xy_bounds": (_XY_BOUNDS, [[0.0, 0.0], [4.0, 4.0]]),
-    "floor_percentile": (_NUMBER, 1.0),
+    "floor_percentile": (_PERCENT, 1.0),
     "floor_z": (_NUMBER_OR_NULL, None),
     "backgrounds": (_STRING_LIST, []),
     "augment": (_OBJECT, {}),  # keys, types and defaults: scene.AugmentConfig

@@ -8,7 +8,6 @@ function of (inputs, generator state), so a fixed seed replays byte-identically.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import warnings
@@ -19,10 +18,11 @@ from scipy.spatial import cKDTree
 
 # Faces with area at or below this are dropped at load time.
 DEGENERATE_AREA = 1e-12
-# Poisson-disk sample elimination: candidates per kept point, and the
-# exponent of the pair weight.
+# Poisson-disk sample elimination: candidates per kept point, the exponent
+# of the pair weight, and the size of its window of heaviest live points.
 OVERSAMPLE = 4
 WEIGHT_EXPONENT = 8.0
+CANDIDATES = 128
 
 
 class MeshFormatError(ValueError):
@@ -164,6 +164,8 @@ def load_mesh(path) -> TriangleMesh:
         n_vertices, n_faces = int(parts[0]), int(parts[1])
     except ValueError:
         raise MeshFormatError(lineno, f"non-integer counts {counts_line!r}") from None
+    if n_vertices < 0 or n_faces < 0:
+        raise MeshFormatError(lineno, f"negative counts {counts_line!r}")
 
     if len(lines) < cursor + n_vertices + n_faces:
         raise MeshFormatError(lines[-1][0], "file truncated")
@@ -226,9 +228,9 @@ def load_points(path) -> PointCloud:
 
     np.loadtxt parses a plain file, 4096 lines at a time, into arrays sized
     by its line count, so the text is never held whole. Text it cannot
-    parse, or that holds '#' or a line break it does not know, goes through
-    the line loop, which names the first bad line. Both read the same
-    numbers bit for bit.
+    parse, that holds '#' or a line break it does not know, or that holds a
+    coordinate that is not finite, goes through the line loop, which names
+    the first bad line. Both read the same numbers bit for bit.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -256,7 +258,8 @@ def load_points(path) -> PointCloud:
                 except ValueError:
                     pass
                 else:
-                    return PointCloud(positions[:n], None if labels is None else labels[:n])
+                    if np.isfinite(positions[:n]).all():
+                        return PointCloud(positions[:n], None if labels is None else labels[:n])
             fh.seek(0)
             text = fh.read()
     except UnicodeDecodeError as exc:  # its position counts from a part, not the file
@@ -278,6 +281,8 @@ def _parse_point_lines(path, text) -> PointCloud:
                 labels.append(np.int64(int(fields[3])))
         except (ValueError, OverflowError):  # not a number, or a label wider than int64
             raise ValueError(f"{path} line {lineno}: bad point {line!r}") from None
+        if not all(map(math.isfinite, positions[-1])):
+            raise ValueError(f"{path} line {lineno}: coordinate not finite: {line!r}")
     if labels and len(labels) != len(positions):
         raise ValueError(f"{path}: some points carry labels and some do not")
     return PointCloud(
@@ -354,12 +359,12 @@ def poisson_disk_sample(mesh: TriangleMesh, n: int, rng: np.random.Generator) ->
     point (lowest index on ties) and subtracts its pair weights from its
     neighbors, until n remain (Yuksel, Eurographics 2015).
 
-    The heap holds one entry per live point, keyed by a weight that may be
-    out of date. Weights only fall, so that key is always an upper bound on
-    the point's current weight. An entry popped with an out-of-date key is
-    pushed back once with the current weight; an entry popped with a current
-    key is then the heaviest live point (lowest index on ties), exactly as if
-    every update had been pushed. Removed points have no entry.
+    Removals come from a window of the CANDIDATES heaviest live points (by
+    weight, then lowest index); (v, last) is the key of the point ranked
+    next. Weights only fall, so while the window's argmax (lowest index on
+    ties) ranks above that key it is the heaviest live point. It is removed
+    and its weight set to -inf; otherwise the window is built again. With
+    no more than CANDIDATES points live, the window holds them all.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -370,31 +375,33 @@ def poisson_disk_sample(mesh: TriangleMesh, n: int, rng: np.random.Generator) ->
     pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
     dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
     pair_w = (1.0 - dist / radius) ** WEIGHT_EXPONENT
-    # neighbor rows in CSR form; each row lists a neighbor once
     src = np.concatenate([pairs[:, 0], pairs[:, 1]])
     dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
     wgt = np.concatenate([pair_w, pair_w])
-    order = np.argsort(src, kind="stable")
+    # bincount of no pairs is int64; the subtractions below need floats
+    weight = np.bincount(src, weights=wgt, minlength=m).astype(np.float64)
+    # neighbor rows in CSR form; each lists a neighbor once, in any order
+    order = np.argsort(src)
     src, dst, wgt = src[order], dst[order], wgt[order]
     bounds = np.searchsorted(src, np.arange(m + 1)).tolist()
-    # bincount of no pairs is int64; the in-place subtraction needs floats
-    weight = np.bincount(src, weights=wgt, minlength=m).astype(np.float64)
 
-    heap = [(-w, i) for i, w in enumerate(weight.tolist())]
-    heapq.heapify(heap)
-    alive = np.ones(m, dtype=bool)
     remaining = m
     while remaining > n:
-        key, i = heapq.heappop(heap)
-        w = weight.item(i)
-        if -key != w:
-            heapq.heappush(heap, (-w, i))
-            continue
-        alive[i] = False
-        remaining -= 1
-        lo, hi = bounds[i], bounds[i + 1]
-        weight[dst[lo:hi]] -= wgt[lo:hi]
-    return PointCloud(points[alive])
+        v, last = -np.inf, 0
+        if remaining > CANDIDATES:
+            v = np.partition(weight, m - CANDIDATES - 1)[m - CANDIDATES - 1]
+            last = np.flatnonzero(weight == v)[CANDIDATES - np.count_nonzero(weight > v)]
+        window = np.flatnonzero((weight > v) | ((weight == v) & (np.arange(m) < last)))
+        while remaining > n:
+            i = window.item(weight[window].argmax())
+            w = weight.item(i)
+            if w < v or (w == v and i > last):
+                break
+            weight[i] = -np.inf
+            remaining -= 1
+            lo, hi = bounds[i], bounds[i + 1]
+            weight[dst[lo:hi]] -= wgt[lo:hi]
+    return PointCloud(points[weight > -np.inf])
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,15 @@ class TestSample:
         assert run_cli(["sample", toy_dir / "box.off", "-n", 64, "--seed", 5, "-o", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("counts", ["-1 1 0", "3 -2 0"])
+    def test_negative_counts_config_error(self, tmp_path, capsys, counts):
+        mesh = tmp_path / "neg.off"
+        mesh.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        out = tmp_path / "pts.txt"
+        assert run_cli(["sample", mesh, "-n", 10, "-o", out]) == 2
+        assert f"config error: line 2: negative counts '{counts}'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("-n", 0), ("-n", "x"), ("--seed", -1)])
     def test_out_of_range_flag_exit_2(self, toy_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "pts.txt"
@@ -268,6 +277,23 @@ class TestSimulate:
         assert run_cli([*argv, "-o", tmp_path / "run"]) == 2
         assert f"config error: background {tmp_path / 'scan.txt'}: no points" in \
             capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    @pytest.mark.parametrize("percentile", [150, -0.5])
+    def test_floor_percentile_out_of_range_config_error(self, toy_dir, tmp_path, capsys,
+                                                        command, percentile):
+        # the floor comes from the scan's percentile; the manifest check names the key
+        scan_with_floor(tmp_path / "scan.txt")
+        manifest = write_manifest(toy_dir, tmp_path / "bg.json", backgrounds=["scan.txt"],
+                                  floor_z=None, floor_percentile=percentile)
+        if command == "simulate":
+            argv = ["simulate", "--manifest", manifest]
+        else:
+            argv = ["train", "--config", write_train_config(toy_dir, tmp_path / "t.json", manifest)]
+        assert run_cli([*argv, "-o", tmp_path / "run"]) == 2
+        assert ("config error: manifest: floor_percentile must be a number in [0, 100], "
+                f"got {percentile}") in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("how", ["manifest", "--points", "train config"])
@@ -542,6 +568,26 @@ class TestInferEval:
         np.savetxt(probs_path, np.eye(2))
         assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path]) == 2
         assert f"config error: {gt_path} line 2: bad point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["infer --scene", "eval --gt", "background"])
+    def test_non_finite_point_names_the_file_and_line(self, toy_dir, trained_run, tmp_path,
+                                                      capsys, reader):
+        points = tmp_path / "points.txt"
+        points.write_text("0 0 0 1\n\n1 0 0 1\nnan 1 0 1\n")
+        out = tmp_path / "out"
+        if reader == "infer --scene":
+            argv = ["infer", "--checkpoint", trained_run / "checkpoint.bin", "--scene", points]
+        elif reader == "eval --gt":
+            probs = tmp_path / "p.txt"
+            np.savetxt(probs, np.eye(2)[[0, 1, 1]])
+            argv = ["eval", "--probs", probs, "--gt", points]
+        else:
+            manifest = write_manifest(toy_dir, tmp_path / "bg.json", backgrounds=["points.txt"])
+            argv = ["simulate", "--manifest", manifest]
+        assert run_cli([*argv, "-o", out]) == 2
+        assert f"config error: {points} line 4: coordinate not finite: 'nan 1 0 1'" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad, line", [("nan 0.5", 2), ("0.5 inf", 2), ("-inf 0.5", 3)])
     def test_non_finite_probability_exit_2(self, tmp_path, capsys, bad, line):

@@ -1,6 +1,8 @@
 """Mesh loading, surface sampling and rigid transforms."""
 
+import heapq
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,7 @@ from scenehull.geometry import (
     surface_area,
     translate,
 )
-from scenehull.toydata import icosphere
+from scenehull.toydata import TOY_CLASSES, icosphere, toy_mesh
 
 CUBE_OFF = """OFF
 8 12 0
@@ -103,6 +105,13 @@ class TestLoadMesh:
         path = tmp_path / "short.off"
         path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n")
         with pytest.raises(MeshFormatError, match="truncated"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("counts", ["-1 1 0", "3 -2 0"])
+    def test_negative_counts(self, tmp_path, counts):
+        path = tmp_path / "neg.off"
+        path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(MeshFormatError, match=f"line 2: negative counts '{counts}'"):
             load_mesh(path)
 
     def test_missing_file(self, tmp_path):
@@ -205,6 +214,43 @@ def greedy_elimination(mesh, n, seed, oversample=4, weight_exponent=8.0):
     return points[np.array(alive)], initial, pairs
 
 
+def heap_elimination(mesh, n, rng):
+    """poisson_disk_sample with a lazy heap: one (-weight, index) entry per
+    live point, keyed by a weight that may be out of date. Weights only
+    fall, so an entry popped with an out-of-date key is pushed back with the
+    current weight, and one popped with a current key is the heaviest live
+    point (lowest index on ties)."""
+    m = 4 * n
+    points = area_weighted_sample(mesh, m, rng).positions
+    radius = 2.0 * poisson_radius(surface_area(mesh), n)
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
+    dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
+    pair_w = (1.0 - dist / radius) ** 8.0
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    wgt = np.concatenate([pair_w, pair_w])
+    order = np.argsort(src, kind="stable")
+    src, dst, wgt = src[order], dst[order], wgt[order]
+    bounds = np.searchsorted(src, np.arange(m + 1)).tolist()
+    weight = np.bincount(src, weights=wgt, minlength=m).astype(np.float64)
+
+    heap = [(-w, i) for i, w in enumerate(weight.tolist())]
+    heapq.heapify(heap)
+    alive = np.ones(m, dtype=bool)
+    remaining = m
+    while remaining > n:
+        key, i = heapq.heappop(heap)
+        w = weight.item(i)
+        if -key != w:
+            heapq.heappush(heap, (-w, i))
+            continue
+        alive[i] = False
+        remaining -= 1
+        lo, hi = bounds[i], bounds[i + 1]
+        weight[dst[lo:hi]] -= wgt[lo:hi]
+    return points[alive]
+
+
 class TestPoissonDisk:
     @pytest.mark.parametrize("n", [1, 7, 64])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -221,6 +267,35 @@ class TestPoissonDisk:
         for seed in range(3):
             expected, initial, _ = greedy_elimination(mesh, n, seed)
             assert initial.count(0.0) >= 2
+            pc = poisson_disk_sample(mesh, n, np.random.default_rng(seed))
+            assert pc.positions.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, seed", [(100, 0), (100, 1), (300, 2)])
+    def test_matches_greedy_reference_past_the_window(self, n, seed):
+        # 4n candidates, several windows of CANDIDATES
+        assert 4 * n > 3 * geometry.CANDIDATES
+        mesh = icosphere(3, radius=1.0)
+        expected, _, _ = greedy_elimination(mesh, n, seed)
+        pc = poisson_disk_sample(mesh, n, np.random.default_rng(seed))
+        assert pc.positions.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [60, 100, 150])
+    def test_matches_greedy_reference_with_ties_at_the_window_edge(self, n):
+        # more points weigh exactly 0 than a window holds, so a window takes
+        # the lowest-index ones and the next one bounds the rest
+        mesh = scattered_triangles(400)
+        for seed in range(3):
+            expected, initial, _ = greedy_elimination(mesh, n, seed)
+            assert initial.count(0.0) > geometry.CANDIDATES
+            pc = poisson_disk_sample(mesh, n, np.random.default_rng(seed))
+            assert pc.positions.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", TOY_CLASSES)
+    @pytest.mark.parametrize("n", [512, 8196])
+    def test_matches_heap_elimination_on_toy_meshes(self, name, n):
+        mesh = toy_mesh(name)
+        for seed in range(3):
+            expected = heap_elimination(mesh, n, np.random.default_rng(seed))
             pc = poisson_disk_sample(mesh, n, np.random.default_rng(seed))
             assert pc.positions.tobytes() == expected.tobytes()
 
@@ -370,7 +445,8 @@ class TestPointCloudType:
 
 
 def line_loop_load_points(path) -> PointCloud:
-    """The reader before np.loadtxt: one str.split and float/int per line."""
+    """The reader before np.loadtxt: one str.split and float/int per line,
+    and a check that the coordinates are finite."""
     positions = []
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -384,6 +460,8 @@ def line_loop_load_points(path) -> PointCloud:
                     labels.append(np.int64(int(fields[3])))
             except (ValueError, OverflowError):
                 raise ValueError(f"{path} line {lineno}: bad point {line!r}") from None
+            if not all(math.isfinite(v) for v in positions[-1]):
+                raise ValueError(f"{path} line {lineno}: coordinate not finite: {line!r}")
     if labels and len(labels) != len(positions):
         raise ValueError(f"{path}: some points carry labels and some do not")
     return PointCloud(
@@ -454,6 +532,17 @@ class TestLoadPointsMatchesLineLoop:
             text = "".join(lines)
             path.write_bytes(text.encode("utf-8"))
             assert outcome(load_points, path) == outcome(line_loop_load_points, path), repr(text)
+
+    @pytest.mark.parametrize("bad", ["nan 1 0", "1 -inf 0", "1 0 1e500"])
+    def test_non_finite_coordinate_names_the_line(self, tmp_path, bad):
+        # past the first part np.loadtxt reads, after two blank lines
+        lines = ["", "  "] + ["0 0 0"] * 5000
+        lines[4500] = bad
+        path = tmp_path / "pts.txt"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path} line 4501: coordinate not finite: '{bad}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_points(path)
 
     def test_plain_files_skip_the_line_loop(self, tmp_path, monkeypatch):
         def refuse(path, text):
