@@ -31,7 +31,7 @@ def read_embedding_file(path, wanted: set) -> tuple[dict, int]:
     """Scan a GloVe-style file for the wanted tokens; returns (vectors, dim).
 
     Only requested tokens are parsed; the first occurrence of a token wins.
-    A parsed vector whose length differs from the first one is an error.
+    A parsed vector not finite, or of another length than the first, is an error.
     """
     vectors: dict = {}
     dim = None
@@ -48,14 +48,14 @@ def read_embedding_file(path, wanted: set) -> tuple[dict, int]:
                 vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
             except ValueError:
                 raise ValueError(f"{path} line {lineno}: bad embedding row") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path} line {lineno}: embedding not finite")
             if dim is None:
                 dim = len(vec)
                 if dim == 0:
                     raise ValueError(f"{path} line {lineno}: empty embedding vector")
             elif len(vec) != dim:
-                raise ValueError(
-                    f"{path} line {lineno}: dimension {len(vec)} != {dim}"
-                )
+                raise ValueError(f"{path} line {lineno}: dimension {len(vec)} != {dim}")
             vectors[token] = vec
             remaining.discard(token)
             if not remaining:

@@ -48,9 +48,9 @@ def _log_config(label: str, resolved: dict) -> None:
     print(f"[{label}] config {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
 
 
-def _write_resolved(out_dir: Path, resolved: dict) -> None:
-    with open(out_dir / "resolved_config.json", "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
+def _write_json(path, data: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -285,7 +285,7 @@ def cmd_simulate(args) -> int:
 
     # a rejected config leaves no run directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_resolved(out_dir, resolved)
+    _write_json(out_dir / "resolved_config.json", resolved)
     for i in range(manifest["num_scenes"]):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 15485863, i]))
         scene = compose_step_scene(
@@ -301,10 +301,8 @@ def cmd_simulate(args) -> int:
                       "n_points": n}
                      for inst, label, n in zip(ids.tolist(), classes.tolist(), counts.tolist())]
         class_set = np.unique(classes[ids >= 0]).tolist()  # sorted, background left out
-        with open(out_dir / f"scene_{i:03d}.json", "w", encoding="utf-8") as fh:
-            json.dump({"scene": i, "seed": seed, "class_set": class_set,
-                       "instances": instances}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / f"scene_{i:03d}.json",
+                    {"scene": i, "seed": seed, "class_set": class_set, "instances": instances})
     print(f"wrote {manifest['num_scenes']} scenes to {out_dir}")
     return EXIT_OK
 
@@ -363,7 +361,7 @@ def cmd_train(args) -> int:
 
     # a rejected config leaves no run directory behind
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_resolved(out_dir, resolved)
+    _write_json(out_dir / "resolved_config.json", resolved)
     with open(out_dir / "loss.log", "w", encoding="utf-8") as log:
         losses = train(
             models, table, encoder, bank, train_cfg, augment=manifest["_augment"],
@@ -405,14 +403,7 @@ def cmd_infer(args) -> int:
     cloud = geometry.load_points(args.scene)
     probs, point_to_voxel = infer_voxels(cloud, ckpt.encoder, ckpt.bank, table,
                                          temperature=args.temperature)
-    # one line per point, formatted once per voxel, from parts of the rows
-    fmt = " ".join(["%.17g"] * probs.shape[1]) + "\n"
-    part = 4096
-    lines = [fmt % row for lo in range(0, len(probs), part)
-             for row in zip(*probs[lo:lo + part].T.tolist())]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for lo in range(0, len(point_to_voxel), part):
-            fh.writelines(map(lines.__getitem__, point_to_voxel[lo:lo + part].tolist()))
+    geometry.save_probabilities(args.out, probs, order=point_to_voxel)
     classes_path = Path(args.out).with_suffix(".classes.txt")
     with open(classes_path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{name}\n" for name in table.class_names))
@@ -421,8 +412,6 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    import numpy as np
-
     from . import geometry
     from .metrics import evaluate_salient, mean_iou
 
@@ -431,15 +420,7 @@ def cmd_eval(args) -> int:
                 "out": str(args.out) if args.out else None}
     _log_config("eval", resolved)
 
-    try:
-        probs = np.loadtxt(args.probs, dtype=np.float64, ndmin=2)
-    except ValueError as exc:  # ragged rows, or a field that is not a number
-        raise ConfigError(f"{args.probs}: {str(exc).split(';')[0]}") from None
-    finite = np.isfinite(probs).all(axis=1)
-    if not finite.all():
-        lines = list(geometry._meaningful_lines(Path(args.probs).read_text(encoding="utf-8")))
-        lineno, line = lines[finite.argmin()]
-        raise ConfigError(f"{args.probs} line {lineno}: probability not finite: {line!r}")
+    probs = geometry.load_probabilities(args.probs)
     gt = geometry.load_points(args.gt)
     if gt.labels is None:
         raise ConfigError(f"{args.gt}: ground-truth file has no labels")

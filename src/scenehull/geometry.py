@@ -1,7 +1,8 @@
-"""Triangle meshes, surface sampling and rigid point-cloud transforms.
+"""Triangle meshes, surface sampling, rigid point-cloud transforms and files.
 
-Meshes are read from ASCII OFF files; point clouds live in plain text
-("x y z" or "x y z label", one point per line). All coordinates are meters.
+Meshes are read from ASCII OFF files; point clouds ("x y z" or "x y z label")
+and class probabilities share one plain-text row format, one row per line
+with one reader and one writer. All coordinates are meters.
 Every randomized operation takes a ``numpy.random.Generator`` and is a pure
 function of (inputs, generator state), so a fixed seed replays byte-identically.
 """
@@ -26,13 +27,11 @@ CANDIDATES = 128
 
 
 class MeshFormatError(ValueError):
-    """Malformed OFF input; the message carries the 1-based line number."""
+    """Malformed OFF input; the message names the file and the 1-based line."""
 
-    def __init__(self, lineno, message):
-        self.lineno = lineno
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
+    def __init__(self, path, lineno, message):
+        self.path, self.lineno = path, lineno
+        super().__init__(f"{path}{'' if lineno is None else f' line {lineno}'}: {message}")
 
 
 class EmptyMeshError(ValueError):
@@ -95,91 +94,79 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.positions)
 
+    def _annotations(self, take) -> list:
+        """take applied to the labels and instance ids that are set."""
+        return [None if arr is None else take(arr) for arr in (self.labels, self.instance_ids)]
+
     def copy(self) -> "PointCloud":
-        return PointCloud(
-            self.positions.copy(),
-            None if self.labels is None else self.labels.copy(),
-            None if self.instance_ids is None else self.instance_ids.copy(),
-        )
+        return PointCloud(self.positions.copy(), *self._annotations(np.copy))
 
     def select(self, index) -> "PointCloud":
         """Subset by boolean mask or integer index, keeping per-point arrays."""
-        return PointCloud(
-            self.positions[index],
-            None if self.labels is None else self.labels[index],
-            None if self.instance_ids is None else self.instance_ids[index],
-        )
+        return PointCloud(self.positions[index], *self._annotations(lambda arr: arr[index]))
 
     def with_positions(self, positions: np.ndarray) -> "PointCloud":
         """Same per-point data on new coordinates."""
-        return PointCloud(
-            positions,
-            None if self.labels is None else self.labels.copy(),
-            None if self.instance_ids is None else self.instance_ids.copy(),
-        )
+        return PointCloud(positions, *self._annotations(np.copy))
 
 
 # ---------------------------------------------------------------------------
-# Mesh / point-cloud file formats
+# Mesh, point-cloud and probability file formats
 # ---------------------------------------------------------------------------
 
 def _meaningful_lines(text):
-    """Yield (lineno, stripped line) skipping blanks and '#' comments."""
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield i, line
+    """(lineno, stripped line) pairs, skipping blanks and '#' comments."""
+    lines = ((i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1))
+    return ((i, line) for i, line in lines if line and not line.startswith("#"))
 
 
 def load_mesh(path) -> TriangleMesh:
     """Read an ASCII OFF mesh, dropping degenerate (zero-area) faces.
 
-    Raises MeshFormatError with a line number on malformed input and
+    Raises MeshFormatError naming the file and line on malformed input and
     EmptyMeshError when no valid face remains.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = list(_meaningful_lines(text))
+        lines = list(_meaningful_lines(fh.read()))
     if not lines:
-        raise MeshFormatError(None, "empty OFF file")
+        raise MeshFormatError(path, None, "empty OFF file")
 
     lineno, header = lines[0]
     cursor = 1
     if header == "OFF":
         if len(lines) < 2:
-            raise MeshFormatError(lineno, "missing counts line")
+            raise MeshFormatError(path, lineno, "missing counts line")
         lineno, counts_line = lines[1]
         cursor = 2
     elif header.startswith("OFF"):
         # Some exporters glue the counts onto the header line.
         counts_line = header[3:].strip()
     else:
-        raise MeshFormatError(lineno, f"expected OFF header, got {header!r}")
+        raise MeshFormatError(path, lineno, f"expected OFF header, got {header!r}")
 
     parts = counts_line.split()
     if len(parts) < 2:
-        raise MeshFormatError(lineno, f"expected vertex/face counts, got {counts_line!r}")
+        raise MeshFormatError(path, lineno, f"expected vertex/face counts, got {counts_line!r}")
     try:
         n_vertices, n_faces = int(parts[0]), int(parts[1])
     except ValueError:
-        raise MeshFormatError(lineno, f"non-integer counts {counts_line!r}") from None
+        raise MeshFormatError(path, lineno, f"non-integer counts {counts_line!r}") from None
     if n_vertices < 0 or n_faces < 0:
-        raise MeshFormatError(lineno, f"negative counts {counts_line!r}")
+        raise MeshFormatError(path, lineno, f"negative counts {counts_line!r}")
 
     if len(lines) < cursor + n_vertices + n_faces:
-        raise MeshFormatError(lines[-1][0], "file truncated")
+        raise MeshFormatError(path, lines[-1][0], "file truncated")
 
     vertices = np.empty((n_vertices, 3), dtype=np.float64)
     for row in range(n_vertices):
         lineno, line = lines[cursor + row]
         fields = line.split()
         if len(fields) < 3:
-            raise MeshFormatError(lineno, f"vertex needs 3 coordinates, got {line!r}")
+            raise MeshFormatError(path, lineno, f"vertex needs 3 coordinates, got {line!r}")
         try:
             vertices[row] = [float(fields[0]), float(fields[1]), float(fields[2])]
         except ValueError:
-            raise MeshFormatError(lineno, f"bad vertex {line!r}") from None
+            raise MeshFormatError(path, lineno, f"bad vertex {line!r}") from None
     cursor += n_vertices
 
     faces = np.empty((n_faces, 3), dtype=np.int64)
@@ -190,11 +177,11 @@ def load_mesh(path) -> TriangleMesh:
             arity = int(fields[0])
             idx = [int(f) for f in fields[1:1 + arity]]
         except (ValueError, IndexError):
-            raise MeshFormatError(lineno, f"bad face {line!r}") from None
+            raise MeshFormatError(path, lineno, f"bad face {line!r}") from None
         if arity != 3 or len(idx) != 3:
-            raise MeshFormatError(lineno, f"only triangles supported, got arity {arity}")
+            raise MeshFormatError(path, lineno, f"only triangles supported, got arity {arity}")
         if min(idx) < 0 or max(idx) >= n_vertices:
-            raise MeshFormatError(lineno, f"face index out of range in {line!r}")
+            raise MeshFormatError(path, lineno, f"face index out of range in {line!r}")
         faces[row] = idx
 
     mesh = TriangleMesh(vertices, faces)
@@ -210,27 +197,34 @@ def load_mesh(path) -> TriangleMesh:
 def save_mesh(path, mesh: TriangleMesh) -> None:
     """Write an ASCII OFF file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{mesh.num_vertices} {mesh.num_faces} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(f"OFF\n{mesh.num_vertices} {mesh.num_faces} 0\n")
+        _write_rows(fh, list(mesh.vertices.T), ["%.17g"] * 3)
+        _write_rows(fh, [np.full(mesh.num_faces, 3), *mesh.faces.T], ["%d"] * 4)
 
 
 # Line breaks that str.splitlines knows and np.loadtxt does not, and the
 # '#' that starts a comment line for the line loop only
 _LOOP_ONLY = "#\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_PART = 4096  # rows parsed or formatted at a time
+
+# A row layout: field count -> (float, int64) column counts, or None where no
+# row may have that many; then the line loop's error words, the last formatted
+# with path, the first row's width and line, and the lineno of another width.
+_POINTS = ({3: (3, 0), 4: (3, 1)}.get, "expected 3 or 4 fields", "bad point",
+           "coordinate not finite", "{path}: some points carry labels and some do not")
+_PROBABILITIES = (lambda width: (width, 0), None, "bad probability row", "probability not finite",
+                  "{path} line {lineno}: expected {width} fields, as on line {first}")
 
 
-def load_points(path) -> PointCloud:
-    """Read "x y z" or "x y z label" lines; mixing the two is an error.
+def _read_rows(path, layout):
+    """(floats (N, F), int64s (N, I)) with F and I set by the layout for
+    the first row's field count.
 
     np.loadtxt parses a plain file, 4096 lines at a time, into arrays sized
     by its line count, so the text is never held whole. Text it cannot
     parse, that holds '#' or a line break it does not know, or that holds a
-    coordinate that is not finite, goes through the line loop, which names
-    the first bad line. Both read the same numbers bit for bit.
+    float that is not finite, goes through the line loop, which names the
+    first bad line. Both read the same numbers bit for bit.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -240,67 +234,96 @@ def load_points(path) -> PointCloud:
                 lines += chunk.count("\n")
             fh.seek(0)
             first = next((line for line in fh if not line.isspace()), None)
-            if plain and first is not None:
-                labeled = len(first.split()) == 4
-                dtype = [("p", "f8", 3)] + ([("l", "i8")] if labeled else [])
-                positions, n = np.empty((lines, 3)), 0
-                labels = np.empty(lines, np.int64) if labeled else None
+            columns = layout[0](len(first.split())) if first else None
+            if plain and columns:
+                n_float, n_int = columns
+                dtype = [("f", "f8", (n_float,))] + ([("i", "i8", (n_int,))] if n_int else [])
+                floats, ints, n = np.empty((lines, n_float)), np.empty((lines, n_int), np.int64), 0
                 fh.seek(0)
                 try:
                     with warnings.catch_warnings():  # a run of blank lines holds no data
                         warnings.simplefilter("ignore", UserWarning)
-                        for part in iter(lambda: list(itertools.islice(fh, 4096)), []):
+                        for part in iter(lambda: list(itertools.islice(fh, _PART)), []):
                             rows = np.loadtxt(part, dtype=dtype, comments=None, ndmin=1)
-                            positions[n:n + len(rows)] = rows["p"]
-                            if labeled:
-                                labels[n:n + len(rows)] = rows["l"]
+                            for name, out in zip(rows.dtype.names, (floats, ints)):
+                                out[n:n + len(rows)] = rows[name]
                             n += len(rows)
-                except ValueError:
+                    if np.isfinite(floats[:n]).all():
+                        return floats[:n], ints[:n]
+                except ValueError:  # the line loop names the line
                     pass
-                else:
-                    if np.isfinite(positions[:n]).all():
-                        return PointCloud(positions[:n], None if labels is None else labels[:n])
             fh.seek(0)
             text = fh.read()
     except UnicodeDecodeError as exc:  # its position counts from a part, not the file
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return _parse_point_lines(path, text)
+    return _parse_lines(path, text, layout)
 
 
-def _parse_point_lines(path, text) -> PointCloud:
+def _parse_lines(path, text, layout):
     """The line loop: blank and '#' lines skipped, errors name the line."""
-    positions = []
-    labels = []
+    columns, width_error, bad, not_finite, mixed = layout
+    floats, ints, widths = [], [], []
     for lineno, line in _meaningful_lines(text):
         fields = line.split()
-        if len(fields) not in (3, 4):
-            raise ValueError(f"{path} line {lineno}: expected 3 or 4 fields")
+        counts = columns(len(fields))
+        if counts is None:
+            raise ValueError(f"{path} line {lineno}: {width_error}")
         try:
-            positions.append([float(fields[0]), float(fields[1]), float(fields[2])])
-            if len(fields) == 4:
-                labels.append(np.int64(int(fields[3])))
-        except (ValueError, OverflowError):  # not a number, or a label wider than int64
-            raise ValueError(f"{path} line {lineno}: bad point {line!r}") from None
-        if not all(map(math.isfinite, positions[-1])):
-            raise ValueError(f"{path} line {lineno}: coordinate not finite: {line!r}")
-    if labels and len(labels) != len(positions):
-        raise ValueError(f"{path}: some points carry labels and some do not")
-    return PointCloud(
-        np.asarray(positions, dtype=np.float64).reshape(-1, 3),
-        np.asarray(labels, dtype=np.int64) if labels else None,
-    )
+            floats.append([float(f) for f in fields[:counts[0]]])
+            ints.append([np.int64(int(f)) for f in fields[counts[0]:]])
+        except (ValueError, OverflowError):  # not a number, or an int wider than int64
+            raise ValueError(f"{path} line {lineno}: {bad} {line!r}") from None
+        if not all(map(math.isfinite, floats[-1])):
+            raise ValueError(f"{path} line {lineno}: {not_finite}: {line!r}")
+        widths.append((len(fields), lineno))
+    if not widths:
+        return np.empty((0, 0)), np.empty((0, 0))
+    for width, lineno in widths:
+        if width != widths[0][0]:
+            raise ValueError(mixed.format(path=path, lineno=lineno, width=widths[0][0],
+                                          first=widths[0][1]))
+    return np.array(floats), np.array(ints, np.int64)
+
+
+def _write_rows(fh, columns, formats, order=None) -> None:
+    """One line per row of the 1-D columns, formatted in parts by formats, one
+    per column (%.17g round-trips float64 exactly). With order, line i
+    repeats row order[i], and each row is still formatted once."""
+    fmt = " ".join(formats) + "\n"
+    parts = ([fmt % row for row in zip(*(c[lo:lo + _PART].tolist() for c in columns))]
+             for lo in range(0, len(columns[0]), _PART))
+    if order is None:
+        for lines in parts:
+            fh.writelines(lines)
+    else:
+        lines = list(itertools.chain.from_iterable(parts))
+        for lo in range(0, len(order), _PART):
+            fh.writelines(map(lines.__getitem__, order[lo:lo + _PART].tolist()))
+
+
+def load_points(path) -> PointCloud:
+    """Read "x y z" or "x y z label" lines; mixing the two is an error."""
+    floats, ints = _read_rows(path, _POINTS)
+    return PointCloud(floats.reshape(-1, 3), ints[:, 0] if ints.shape[1] else None)
 
 
 def save_points(path, pc: PointCloud) -> None:
     """Write the plain-text point format, with a label column exactly when
-    the cloud has labels; %.17g round-trips float64 exactly."""
-    columns = pc.positions.T.tolist()
-    fmt = "%.17g %.17g %.17g\n"
-    if pc.labels is not None:
-        columns.append(pc.labels.tolist())
-        fmt = "%.17g %.17g %.17g %d\n"
+    the cloud has labels."""
+    labels = [] if pc.labels is None else [pc.labels]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(fmt % row for row in zip(*columns))
+        _write_rows(fh, [*pc.positions.T, *labels], ["%.17g"] * 3 + ["%d"] * len(labels))
+
+
+def load_probabilities(path) -> np.ndarray:
+    """(N, C) float64, one finite value per class on each point's line."""
+    return _read_rows(path, _PROBABILITIES)[0]
+
+
+def save_probabilities(path, probs: np.ndarray, order=None) -> None:
+    """Write (N, C) probabilities a row per line, or row order[i] on line i."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_rows(fh, list(probs.T), ["%.17g"] * probs.shape[1], order)
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,7 @@ def resolve_overlap(
 
 
 def _annotate(pc: PointCloud, label: int, instance: int) -> PointCloud:
-    n = len(pc)
-    return PointCloud(
-        pc.positions,
-        np.full(n, label, dtype=np.int64),
-        np.full(n, instance, dtype=np.int64),
-    )
+    return PointCloud(pc.positions, np.full(len(pc), label), np.full(len(pc), instance))
 
 
 def simulate_scene(

@@ -1,5 +1,7 @@
 """Language-anchor table: embedding file parsing, projection, freezing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,14 @@ class TestLoadEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("chair 1 2 3\ntable 4 5\n")
         with pytest.raises(ValueError, match="dimension"):
+            load_embeddings(path, ["chair", "table"])
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e500"])
+    def test_non_finite_value_names_the_file_and_line(self, tmp_path, bad):
+        # a nan vector once made every zero-shot probability nan
+        path = tmp_path / "emb.txt"
+        path.write_text(f"chair 1 2 3\n\ntable 4 {bad} 6\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path} line 3: embedding not finite')}$"):
             load_embeddings(path, ["chair", "table"])
 
     def test_identity_projection_when_dims_match(self, tmp_path):

@@ -97,7 +97,8 @@ class TestSample:
         mesh.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
         out = tmp_path / "pts.txt"
         assert run_cli(["sample", mesh, "-n", 10, "-o", out]) == 2
-        assert f"config error: line 2: negative counts '{counts}'" in capsys.readouterr().err
+        assert f"config error: {mesh} line 2: negative counts '{counts}'" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [("-n", 0), ("-n", "x"), ("--seed", -1)])
@@ -609,8 +610,19 @@ class TestInferEval:
         probs_path.write_text("0.9 0.1\n0.1\n0.2 0.8\n")
         assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {probs_path}: the number of columns changed" in err
-        assert "usecols" not in err
+        assert f"config error: {probs_path} line 2: expected 2 fields, as on line 1" in err
+
+    def test_trailing_comment_in_probabilities_names_the_line(self, tmp_path, capsys):
+        # np.loadtxt once read this row as 0.5 0.5, where a point file exits 2
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("0 0 0 0\n1 0 0 1\n")
+        probs_path = tmp_path / "p.txt"
+        probs_path.write_text("0.9 0.1\n0.5 0.5 # note\n")
+        report = tmp_path / "rep.txt"
+        assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path, "-o", report]) == 2
+        assert f"config error: {probs_path} line 2: bad probability row '0.5 0.5 # note'" in \
+            capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.parametrize("foreground", ["x,1", "0,,1", "-1"])
     def test_bad_foreground_exit_2(self, tmp_path, capsys, foreground):
@@ -635,6 +647,20 @@ class TestInferEval:
         names = (tmp_path / "ext.classes.txt").read_text().split()
         assert names[-1] == "ovoid"
 
+
+    def test_non_finite_embedding_config_error(self, toy_dir, trained_run, tmp_path, capsys):
+        # a nan vector once gave an all-nan probability file and exit 0
+        embeddings = tmp_path / "emb.txt"
+        embeddings.write_text("ovoid nan 0 0 0\n")
+        scene = tmp_path / "scene.txt"
+        scene.write_text("0 0 0\n0.1 0 0\n")
+        out = tmp_path / "p.txt"
+        assert run_cli(["infer", "--checkpoint", trained_run / "checkpoint.bin",
+                        "--scene", scene, "--extend-classes", "ovoid",
+                        "--embeddings", embeddings, "-o", out]) == 2
+        assert f"config error: {embeddings} line 1: embedding not finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_checkpoint_missing_array_config_error(self, toy_dir, trained_run, tmp_path, capsys):
         with open(trained_run / "checkpoint.bin", "rb") as fh:
@@ -810,6 +836,38 @@ class TestInferEval:
                             ckpt.bank, ckpt.table, temperature=0.01)
         expected = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in probs)
         assert probs_path.read_text() == expected
+
+    def test_point_file_bytes_match_per_row_formatting(self, toy_dir, tmp_path):
+        from scenehull.geometry import load_mesh, load_points, poisson_disk_sample
+
+        # sample writes no labels, here over more than one part of rows
+        out = tmp_path / "pts.txt"
+        assert run_cli(["sample", toy_dir / "sphere.off", "-n", 5000, "--seed", 2,
+                        "-o", out]) == 0
+        cloud = poisson_disk_sample(load_mesh(toy_dir / "sphere.off"), 5000,
+                                    np.random.default_rng(2))
+        assert out.read_text() == "".join(f"{x:.17g} {y:.17g} {z:.17g}\n"
+                                          for x, y, z in cloud.positions)
+        # simulate writes a label column
+        scenes = tmp_path / "scenes"
+        assert run_cli(["simulate", "--manifest", toy_dir / "manifest.json",
+                        "--seed", 3, "-o", scenes]) == 0
+        scene = load_points(scenes / "scene_000.txt")
+        assert (scenes / "scene_000.txt").read_text() == "".join(
+            f"{x:.17g} {y:.17g} {z:.17g} {label}\n"
+            for (x, y, z), label in zip(scene.positions, scene.labels))
+
+    def test_mesh_file_bytes_match_per_row_formatting(self, tmp_path):
+        from scenehull.toydata import TOY_CLASSES, toy_mesh
+
+        assert run_cli(["toy", "-o", tmp_path / "toy", "--points", 16, "--scenes", 0]) == 0
+        for name in TOY_CLASSES:
+            mesh = toy_mesh(name)
+            expected = "".join(
+                ["OFF\n", f"{mesh.num_vertices} {mesh.num_faces} 0\n"]
+                + [f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in mesh.vertices]
+                + [f"3 {a} {b} {c}\n" for a, b, c in mesh.faces])
+            assert (tmp_path / "toy" / f"{name}.off").read_text() == expected
 
 
 class TestGradcheckCommand:

@@ -18,10 +18,13 @@ from scenehull.geometry import (
     area_weighted_sample,
     load_mesh,
     load_points,
+    load_probabilities,
     poisson_disk_sample,
     poisson_radius,
     rotate_z,
+    save_mesh,
     save_points,
+    save_probabilities,
     scale,
     surface_area,
     translate,
@@ -111,7 +114,8 @@ class TestLoadMesh:
     def test_negative_counts(self, tmp_path, counts):
         path = tmp_path / "neg.off"
         path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
-        with pytest.raises(MeshFormatError, match=f"line 2: negative counts '{counts}'"):
+        message = f"{path} line 2: negative counts '{counts}'"
+        with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
             load_mesh(path)
 
     def test_missing_file(self, tmp_path):
@@ -435,6 +439,21 @@ class TestPointCloudType:
         assert labeled.read_text().splitlines()[0] == "-0 4.9406564584124654e-324 " \
                                                       "7.4169128616906696e-309 -1"
 
+    def test_files_over_several_parts_match_per_row_formatting(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 9000  # rows are formatted 4096 at a time
+        positions = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 1))
+        pc = PointCloud(positions, labels=rng.integers(-2**63, 2**63 - 1, n))
+        path = tmp_path / "pts.txt"
+        save_points(path, pc)
+        assert path.read_text() == "".join(f"{x:.17g} {y:.17g} {z:.17g} {label}\n"
+                                           for (x, y, z), label in zip(positions, pc.labels))
+        mesh = TriangleMesh(positions, rng.integers(0, n, size=(5000, 3)))
+        save_mesh(path, mesh)
+        assert path.read_text() == "".join(
+            [f"OFF\n{n} 5000 0\n"] + [f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in positions]
+            + [f"3 {a} {b} {c}\n" for a, b, c in mesh.faces])
+
     def test_point_file_without_labels(self, tmp_path):
         pc = PointCloud(np.array([[0.5, 1.25, -3.0]]))
         path = tmp_path / "pts.txt"
@@ -470,20 +489,48 @@ def line_loop_load_points(path) -> PointCloud:
     )
 
 
+def line_loop_load_probabilities(path) -> np.ndarray:
+    """A probability table read line by line: one str.split and float per
+    field, every value finite, and every row as wide as the first."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in geometry._meaningful_lines(fh.read()):
+            try:
+                row = [float(field) for field in line.split()]
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: bad probability row {line!r}") from None
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{path} line {lineno}: probability not finite: {line!r}")
+            rows.append((lineno, row))
+    if not rows:
+        return np.empty((0, 0))
+    for lineno, row in rows:
+        if len(row) != len(rows[0][1]):
+            raise ValueError(f"{path} line {lineno}: expected {len(rows[0][1])} fields, "
+                             f"as on line {rows[0][0]}")
+    return np.array([row for _, row in rows], dtype=np.float64)
+
+
 def outcome(reader, path):
-    """(positions bytes, shape, label bytes or None) or (exception type, message)."""
+    """For a cloud (positions bytes, shape, label bytes or None), for a
+    table (bytes, shape), or (exception type, message)."""
     try:
-        pc = reader(path)
+        result = reader(path)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return type(exc), str(exc)
+    if isinstance(result, np.ndarray):
+        assert result.dtype == np.float64 and result.flags.c_contiguous
+        return result.tobytes(), result.shape
+    pc = result
     assert pc.positions.dtype == np.float64 and pc.positions.flags.c_contiguous
     labels = None if pc.labels is None else (pc.labels.dtype, pc.labels.tobytes())
     return pc.positions.tobytes(), pc.positions.shape, labels
 
 
 class TestLoadPointsMatchesLineLoop:
-    """load_points parses with np.loadtxt and falls back to the line loop;
-    both must give the same arrays, or the same exception and message."""
+    """load_points and load_probabilities parse with np.loadtxt and fall
+    back to the line loop; both must give the same arrays, or the same
+    exception and message."""
 
     CASES = [
         "", "\n\n", "   \n\t\n", "1 2 3\n", "1 2 3", "1 2 3 4\n", "1 2 3 -4\n5 6 7 8\n",
@@ -545,7 +592,7 @@ class TestLoadPointsMatchesLineLoop:
             load_points(path)
 
     def test_plain_files_skip_the_line_loop(self, tmp_path, monkeypatch):
-        def refuse(path, text):
+        def refuse(path, text, layout):
             raise AssertionError("line loop used")
 
         rng = np.random.default_rng(1)
@@ -553,10 +600,76 @@ class TestLoadPointsMatchesLineLoop:
         path = tmp_path / "pts.txt"
         save_points(path, pc)
         expected = outcome(line_loop_load_points, path)
-        monkeypatch.setattr(geometry, "_parse_point_lines", refuse)
+        probs_path = tmp_path / "probs.txt"
+        save_probabilities(probs_path, rng.random((50, 5)))
+        expected_probs = outcome(line_loop_load_probabilities, probs_path)
+        monkeypatch.setattr(geometry, "_parse_lines", refuse)
         assert outcome(load_points, path) == expected
+        assert outcome(load_probabilities, probs_path) == expected_probs
         save_points(path, PointCloud(pc.positions))
         assert load_points(path).labels is None
+
+    # probability-shaped tables, one to five columns wide
+    TABLE_CASES = [
+        "", "\n\n", "0.5\n", "0.5\n0.25", "1\n\n0\n", "0.5 0.5\n0.1 0.9\n",
+        "0.5 0.5\r\n0.1 0.9\r\n", "0.5 0.5\r0.1 0.9\r", "  0.5\t 0.5  \n",
+        "0.1 0.2 0.3 0.2 0.2\n" * 3, "1 0 0 0 0\n\n  \n0 0 0 0 1\n",
+        "0.5 0.5 # note\n", "0.5 # note\n", "# header\n0.5 0.5\n", "0.5 0.5\n# 1 0\n0 1\n",
+        "0.5#\n", "0.5 0.5\n0.1\n0.2 0.8\n", "0.5\n0.1 0.2\n", "1 2 3 4 5\n1 2 3 4\n",
+        "1 2 3 4 5\n1 2 3 4 5 6\n", "0.5 0.5\n0.1\nnan 0.8\n", "nan\n", "0.5 inf\n",
+        "1 2 3 4 -inf\n", "0.5 1e500\n", "0.5 x\n", "1_0\n", "0x1 2\n", "\u0661 0\n",
+        "-0 0\n", "5e-324\n2.2250738585072014e-308\n", "0.5,0.5\n", '"0.5" 0.5\n',
+        "0.5 0.5\v0.1 0.9\n", "0.5\f0.5\n", "0.5 0.5\u2028", "0.5\x85\n", "0.5\x00\n",
+        "1\xa02\n",
+    ]
+
+    @pytest.mark.parametrize("text", TABLE_CASES)
+    def test_table_case(self, tmp_path, text):
+        path = tmp_path / "probs.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_probabilities, path) == outcome(line_loop_load_probabilities, path)
+
+    def test_random_tables(self, tmp_path):
+        tokens = ["1", "0.25", "-0", "3.0", "1e-3", "1_0", "nan", "inf", "\u0663",
+                  "0x1", "#", "#1", "1#", "", "\xa0", "\x00", "1e500", ".5"]
+        seps = [" ", " ", "\t", "  ", "\f", "\xa0"]
+        ends = ["\n", "\n", "\n", "\r\n", "\r", "\v", "\u2028", ""]
+        rng = np.random.default_rng(5)
+        path = tmp_path / "probs.txt"
+        for _ in range(400):
+            width = int(rng.choice([1, 2, 5]))
+            lines = []
+            for _ in range(int(rng.integers(0, 5))):
+                row_width = width if rng.random() < 0.9 else int(rng.integers(1, 7))
+                if rng.random() < 0.8:  # mostly clean numbers
+                    fields = [str(rng.choice(["1", "0.25", "0.1", "0", "-0"]))
+                              for _ in range(row_width)]
+                else:
+                    fields = [str(rng.choice(tokens)) for _ in range(row_width)]
+                sep = str(rng.choice(seps)) if rng.random() < 0.2 else " "
+                end = str(rng.choice(ends)) if rng.random() < 0.2 else "\n"
+                lines.append(sep.join(fields) + end)
+            text = "".join(lines)
+            path.write_bytes(text.encode("utf-8"))
+            assert outcome(load_probabilities, path) == \
+                outcome(line_loop_load_probabilities, path), repr(text)
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_table_past_the_first_part(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        probs = rng.random((9000, width))
+        path = tmp_path / "probs.txt"
+        save_probabilities(path, probs)
+        back = load_probabilities(path)
+        assert back.shape == (9000, width)
+        np.testing.assert_array_equal(back, probs)
+        # a ragged row past the first part names its line
+        lines = path.read_text().splitlines(keepends=True)
+        lines[8000] = "0.5 " * (width + 1) + "\n"
+        path.write_text("".join(lines))
+        message = f"{path} line 8001: expected {width} fields, as on line 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_probabilities(path)
 
 
 class TestLoadPointsMemory:
