@@ -27,8 +27,8 @@ def _name_tokens(name: str) -> list:
     return tokens
 
 
-def read_embedding_file(path, wanted: set) -> tuple[dict, int]:
-    """Scan a GloVe-style file for the wanted tokens; returns (vectors, dim).
+def read_embedding_file(path, wanted: set) -> dict:
+    """Scan a GloVe-style file for the wanted tokens; returns {token: vector}.
 
     Only requested tokens are parsed; the first occurrence of a token wins.
     A parsed vector not finite, or of another length than the first, is an error.
@@ -60,7 +60,7 @@ def read_embedding_file(path, wanted: set) -> tuple[dict, int]:
             remaining.discard(token)
             if not remaining:
                 break
-    return vectors, dim if dim is not None else 0
+    return vectors
 
 
 class AnchorTable:
@@ -154,7 +154,7 @@ def class_vectors(path, names) -> np.ndarray:
     if not names:
         raise ValueError("no class names")
     token_lists = [_name_tokens(n) for n in names]
-    vectors, _ = read_embedding_file(path, {t for toks in token_lists for t in toks})
+    vectors = read_embedding_file(path, {t for toks in token_lists for t in toks})
     rows = []
     for name, tokens in zip(names, token_lists):
         for t in tokens:

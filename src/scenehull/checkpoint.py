@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anchors import AnchorTable
-from .cli import (_BOOL, _INT, _NON_NEGATIVE_INT, _NUMBER, _OBJECT, _OBJECT_LIST, _REQUIRED,
-                  _STRING, _STRING_LIST, _parse)
+from .cli import (_BOOL, _NON_NEGATIVE_INT, _NUMBER, _OBJECT, _OBJECT_LIST, _POSITIVE,
+                  _POSITIVE_INT, _REQUIRED, _STRING, _STRING_LIST, _parse)
 from .encoder import NUM_OFFSETS, ConvLayer, SparseEncoder
 from .hull import PrototypeBank
 from .objective import _prefixed
@@ -81,7 +81,7 @@ _HEADER_SCHEMA = {
     "arrays": (_OBJECT_LIST, _REQUIRED),
 }
 _SECTION_SCHEMAS = {
-    "encoder": {"num_layers": (_INT, _REQUIRED), "voxel_size": (_NUMBER, _REQUIRED)},
+    "encoder": {"num_layers": (_POSITIVE_INT, _REQUIRED), "voxel_size": (_POSITIVE, _REQUIRED)},
     "bank": {"inv_temperature": (_NUMBER, _REQUIRED)},
     "anchors": {"class_names": (_STRING_LIST, _REQUIRED), "normalize": (_BOOL, _REQUIRED)},
 }

@@ -94,6 +94,17 @@ def pack_keys(cells: np.ndarray, lo: np.ndarray, dims: np.ndarray) -> np.ndarray
     )
 
 
+def _voxel_cells(points: np.ndarray, voxel_size: float) -> np.ndarray:
+    """The int64 cells floor(points / voxel_size). Raises ValueError naming
+    the voxel size when a cell reaches 2**61 in magnitude: the cast would
+    merge distinct cells, and the key box around them could wrap."""
+    with np.errstate(over="ignore"):  # an infinite cell fails the test below
+        cells = np.floor(points / voxel_size)
+    if not -2.0 ** 61 < cells.min() <= cells.max() < 2.0 ** 61:
+        raise ValueError(f"voxel size {voxel_size} puts voxel cells beyond 2**61")
+    return cells.astype(np.int64)
+
+
 def _build_neighbor_maps(coords: np.ndarray):
     lo = coords.min(axis=0) - 1
     dims = coords.max(axis=0) - lo + 2  # covers coords +/- 1 without key collisions
@@ -150,7 +161,7 @@ def voxelize(pc: PointCloud, voxel_size: float, dtype=np.float64) -> SparseFeatu
         raise ValueError("voxel_size must be positive")
     if len(pc) == 0:
         raise ValueError("cannot voxelize an empty cloud")
-    cells = np.floor(pc.positions / voxel_size).astype(np.int64)
+    cells = _voxel_cells(pc.positions, voxel_size)
     lo = cells.min(axis=0)
     dims = cells.max(axis=0) - lo + 1
     keys = pack_keys(cells, lo, dims)

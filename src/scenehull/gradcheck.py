@@ -18,7 +18,7 @@ from .encoder import (OFFSETS, ConvLayer, SparseEncoder, SparseFeatureGrid,
                       sparse_conv_forward, voxelize)
 from .geometry import PointCloud
 from .hull import PrototypeBank
-from .objective import _prefixed, contrastive_loss
+from .objective import _prefixed, contrastive_loss, scene_gradients
 
 RTOL = 1e-4
 ATOL = 1e-8
@@ -71,7 +71,7 @@ def _random_cloud(rng, n_points: int, extent: float = 0.4) -> PointCloud:
 
 def check_dcr(seed: int) -> list:
     """The gradients of the hull projection w.r.t. x and every bank
-    parameter, for the plain and the centered projection."""
+    parameter. The centered readout is forward only, so it has none."""
     rng = np.random.default_rng(seed)
     bank = PrototypeBank.create(
         num_prototypes=5, feature_dim=4, attention_dim=3,
@@ -80,18 +80,14 @@ def check_dcr(seed: int) -> list:
     x = rng.standard_normal((3, 4))
     probe = rng.standard_normal((3, 4))
 
-    results = []
-    for centered, prefix in ((False, "dcr"), (True, "dcr.centered")):
-        def scalar():
-            return float((bank.project(x, centered=centered) * probe).sum())
+    def scalar():
+        return float((bank.project(x) * probe).sum())
 
-        bank.project(x, cache=True, centered=centered)
-        d_x, grads = bank.backward(probe)
-        tensors = {"features": x, **bank.parameters()}
-        for name, analytic in {"features": d_x, **grads}.items():
-            results.append(compare(f"{prefix}.{name}", analytic,
-                                   numeric_gradient(scalar, tensors[name])))
-    return results
+    bank.project(x, cache=True)
+    d_x, grads = bank.backward(probe)
+    tensors = {"features": x, **bank.parameters()}
+    return [compare(f"dcr.{name}", analytic, numeric_gradient(scalar, tensors[name]))
+            for name, analytic in {"features": d_x, **grads}.items()]
 
 
 def check_encoder(seed: int) -> list:
@@ -133,9 +129,9 @@ def check_loss(seed: int) -> list:
 
 
 def check_end_to_end(seed: int) -> list:
-    """Total loss gradients through encoder, hull projection and anchors;
-    then the centered readout's loss w.r.t. the encoder output and the bank
-    and anchor tensors (the encoder chain below the features is shared)."""
+    """The gradients that objective.scene_gradients, the step train runs,
+    gives through encoder, hull projection and anchors, against central
+    differences of the same loss."""
     rng = np.random.default_rng(seed)
     encoder = SparseEncoder.create(widths=(2, 3), voxel_size=0.1, seed=seed)
     bank = PrototypeBank.create(
@@ -157,26 +153,9 @@ def check_end_to_end(seed: int) -> list:
 
     params = _prefixed(anchors=table.parameters(), bank=bank.parameters(),
                        encoder=encoder.parameters())
-    feats = encoder.forward(cloud)
-    projected = bank.project(feats, cache=True)
-    _, d_proj, table_grads = contrastive_loss(projected, labels, table)
-    d_feats, bank_grads = bank.backward(d_proj)
-    grads = _prefixed(anchors=table_grads, bank=bank_grads, encoder=encoder.backward(d_feats))
-    results = [compare(f"e2e.{name}", grads[name], numeric_gradient(scalar, params[name]))
-               for name in sorted(params)]
-
-    def centered_scalar():
-        return contrastive_loss(bank.project(feats, centered=True), labels, table)[0]
-
-    projected = bank.project(feats, cache=True, centered=True)
-    _, d_proj, table_grads = contrastive_loss(projected, labels, table)
-    d_feats, bank_grads = bank.backward(d_proj)
-    tensors = {"features": feats, **params}
-    for name, analytic in {"features": d_feats,
-                           **_prefixed(anchors=table_grads, bank=bank_grads)}.items():
-        results.append(compare(f"e2e.centered.{name}", analytic,
-                               numeric_gradient(centered_scalar, tensors[name])))
-    return results
+    _, grads = scene_gradients(PointCloud(cloud.positions, labels), encoder, bank, table)
+    return [compare(f"e2e.{name}", grads[name], numeric_gradient(scalar, params[name]))
+            for name in sorted(params)]
 
 
 def dense_conv_reference(coords: np.ndarray, feats: np.ndarray, layer: ConvLayer) -> np.ndarray:

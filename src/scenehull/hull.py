@@ -13,7 +13,8 @@ reads the centered part only (project(..., centered=True)). A feature that
 prefers no prototype then lands on the origin, where every class scores the
 same. A test-time shift blurs features and softens the coefficients, which
 pulls outputs toward c. With the centered readout that pull costs confidence
-but adds no bias toward the classes c favors.
+but adds no bias toward the classes c favors. Nothing trains through the
+centered readout, so it is forward only: it has no backward.
 """
 
 from __future__ import annotations
@@ -139,8 +140,11 @@ class PrototypeBank:
         centroid, coefficients(x) @ (prototypes - prototypes.mean(axis=0)).
         The coefficients are unchanged (moving every prototype by one vector
         adds a per-row constant to the attention logits), so only the
-        constant centroid term is dropped.
+        constant centroid term is dropped. The centered readout is forward
+        only: cache=True with centered=True raises ValueError.
         """
+        if cache and centered:
+            raise ValueError("the centered readout has no backward; project it without cache")
         x = np.asarray(x)
         keys, queries, logits = self._attention(x)
         coeffs = softmax(logits)
@@ -148,8 +152,7 @@ class PrototypeBank:
         if centered:
             out -= self.prototypes.mean(axis=0)
         if cache:
-            self._cache = {"x": x, "keys": keys, "queries": queries, "coeffs": coeffs,
-                           "centered": centered}
+            self._cache = {"x": x, "keys": keys, "queries": queries, "coeffs": coeffs}
         return out
 
     def backward(self, upstream: np.ndarray):
@@ -169,16 +172,12 @@ class PrototypeBank:
 
         coeffs = c["coeffs"]
         d_coeffs = g @ self.prototypes.T
-        d_protos = coeffs.T @ g
-        if c["centered"]:
-            # every row subtracts mean_k p_k
-            d_protos -= g.sum(axis=0) / self.num_prototypes
         # softmax backward: dL = a * (dA - sum(dA * a))
         d_logits = coeffs * (d_coeffs - (d_coeffs * coeffs).sum(axis=1, keepdims=True))
         lam = self.inv_temperature
         d_keys = lam * (d_logits @ c["queries"])
         d_queries = lam * (d_logits.T @ c["keys"])
         d_x = d_keys @ self.w_key.T
-        return d_x, {"prototypes": d_protos + d_queries @ self.w_query.T,
+        return d_x, {"prototypes": coeffs.T @ g + d_queries @ self.w_query.T,
                      "w_key": c["x"].T @ d_keys,
                      "w_query": self.prototypes.T @ d_queries}

@@ -197,6 +197,35 @@ def compose_step_scene(
     )
 
 
+def _check_parts(encoder: SparseEncoder, bank: PrototypeBank | None, table: AnchorTable) -> None:
+    """ValueError unless the bank, if any, and the anchors read the encoder's width."""
+    if bank is not None and bank.feature_dim != encoder.feature_dim:
+        raise ValueError("bank feature dim does not match encoder output")
+    if table.feature_dim != encoder.feature_dim:
+        raise ValueError("anchor projection does not match encoder output")
+
+
+def scene_gradients(scene: PointCloud, encoder: SparseEncoder, bank: PrototypeBank | None,
+                    table: AnchorTable) -> tuple:
+    """The training step on one labeled scene: (loss, grads), grads keyed
+    like the "<group>.<name>" parameters that train optimizes. A bank that
+    is not None projects the features onto its hull. Only points labeled
+    >= 0 are scored; background points get zero gradient rows. The caller
+    checks that the loss is finite."""
+    feats = encoder.forward(scene)
+    projected = feats if bank is None else bank.project(feats, cache=True)
+    labeled = scene.labels >= 0
+    if not labeled.any():
+        raise RuntimeError("scene contains no labeled points")
+    loss, d_labeled, table_grads = contrastive_loss(projected[labeled], scene.labels[labeled],
+                                                    table)
+    d_feats = np.zeros_like(projected)
+    d_feats[labeled] = d_labeled
+    d_feats, bank_grads = (d_feats, None) if bank is None else bank.backward(d_feats)
+    return loss, _prefixed(encoder=encoder.backward(d_feats), bank=bank_grads,
+                           anchors=table_grads)
+
+
 def train(
     models: ModelSet,
     table: AnchorTable,
@@ -222,15 +251,14 @@ def train(
         raise ValueError("need at least two model classes")
     if max(models.clouds) >= table.num_classes or min(models.clouds) < 0:
         raise ValueError("anchor table does not cover all model classes")
-    if config.use_dcr and bank is None:
+    _check_parts(encoder, bank, table)
+    if not config.use_dcr:
+        bank = None
+    elif bank is None:
         raise ValueError("use_dcr requires a prototype bank")
-    if bank is not None and bank.feature_dim != encoder.feature_dim:
-        raise ValueError("bank feature dim does not match encoder output")
-    if table.feature_dim != encoder.feature_dim:
-        raise ValueError("anchor projection does not match encoder output")
 
     params = _prefixed(encoder=encoder.parameters(),
-                       bank=bank.parameters() if config.use_dcr else None,
+                       bank=None if bank is None else bank.parameters(),
                        anchors=table.parameters())
     opt = Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
 
@@ -242,26 +270,11 @@ def train(
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch, step]))
             scene = compose_step_scene(models, augment, rng, xy_bounds=xy_bounds,
                                        floor_z=floor_z, floor_percentile=floor_percentile)
-            feats = encoder.forward(scene)
-            projected = bank.project(feats, cache=True) if config.use_dcr else feats
-
-            labeled = scene.labels >= 0
-            if not labeled.any():
-                raise RuntimeError("scene contains no labeled points")
-            loss, d_proj_labeled, table_grads = contrastive_loss(
-                projected[labeled], scene.labels[labeled], table
-            )
+            loss, grads = scene_gradients(scene, encoder, bank, table)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {epoch} step {step}")
             step_losses.append(loss)
-
-            d_projected = np.zeros_like(projected)
-            d_projected[labeled] = d_proj_labeled
-            d_feats, bank_grads = d_projected, None
-            if config.use_dcr:
-                d_feats, bank_grads = bank.backward(d_projected)
-            opt.step(_prefixed(encoder=encoder.backward(d_feats), bank=bank_grads,
-                               anchors=table_grads))
+            opt.step(grads)
             for name in sorted(params):
                 if not np.isfinite(params[name]).all():
                     raise TrainingDiverged(
@@ -292,10 +305,7 @@ def infer_voxels(
     nor a (V, K) hull temporary is ever built. Every step works row by row,
     and the rows equal one unblocked pass bit for bit.
     """
-    if bank is not None and bank.feature_dim != encoder.feature_dim:
-        raise ValueError("bank feature dim does not match encoder output")
-    if table.feature_dim != encoder.feature_dim:
-        raise ValueError("anchor projection does not match encoder output")
+    _check_parts(encoder, bank, table)
 
     def readout(block):
         # centered readout: the prototype centroid is a constant that

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import pack_keys
+from .encoder import _voxel_cells, pack_keys
 from .geometry import PointCloud, rotate_z, scale, translate
 
 BACKGROUND_LABEL = -1
@@ -100,8 +100,7 @@ def estimate_floor(scene: PointCloud, percentile: float = 1.0) -> float:
 def _overlap_masks(a: np.ndarray, b: np.ndarray, voxel: float):
     """Boolean masks of points of a (resp. b) sharing a voxel cell with the
     other cloud."""
-    cells_a = np.floor(a / voxel).astype(np.int64)
-    cells_b = np.floor(b / voxel).astype(np.int64)
+    cells_a, cells_b = _voxel_cells(a, voxel), _voxel_cells(b, voxel)
     lo = np.minimum(cells_a.min(axis=0), cells_b.min(axis=0))
     dims = np.maximum(cells_a.max(axis=0), cells_b.max(axis=0)) - lo + 1
     keys_a = pack_keys(cells_a, lo, dims)

@@ -398,7 +398,7 @@ def test_criterion_9_determinism(toy_dir, tmp_path):
 def test_criterion_10_zero_shot(toy_dir, e2e):
     ck = load_checkpoint(e2e["checkpoint"])
     table = ck.table
-    vectors, _ = read_embedding_file(toy_dir / "embeddings.txt", {"ovoid"})
+    vectors = read_embedding_file(toy_dir / "embeddings.txt", {"ovoid"})
     new_id = table.add_class("ovoid", vectors["ovoid"])
 
     ovoid_mesh = geometry.load_mesh(toy_dir / "ovoid.off")

@@ -161,7 +161,10 @@ class TestGuards:
         ("anchors.class_names", "abc"), ("anchors.class_names", ["a", 1, "c"]),
         ("anchors.normalize", "false"),
         ("arrays[0].name", 5), ("arrays[0].dtype", "zz"), ("arrays[0].dtype", "<i8"),
-        ("arrays[0].shape", "27,1,5"), ("arrays[0].shape", [27, -1, 5])])
+        ("arrays[0].shape", "27,1,5"), ("arrays[0].shape", [27, -1, 5]),
+        # in range as well as typed: each used to fail only after the scene
+        # was read, naming neither the file nor the key
+        ("encoder.num_layers", 0), ("encoder.voxel_size", -0.05), ("encoder.voxel_size", 0)])
     def test_wrong_header_type_named(self, tmp_path, key, value):
         encoder, bank, table = make_state(seed=10)
         path = tmp_path / "ck.bin"

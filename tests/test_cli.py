@@ -426,6 +426,17 @@ class TestTrain:
         assert "numerical divergence: parameter" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+    def test_voxel_cells_beyond_int64_exit_2(self, toy_dir, trained_run, tmp_path, capsys):
+        # at 1e-300 m the int64 cast used to merge every point of a scene
+        # into one voxel, and train exited 0
+        cfg = json.loads((toy_dir / "quick_train.json").read_text())
+        cfg.update({"voxel_size": 1e-300, "epochs": 1, "steps_per_epoch": 1})
+        path = toy_dir / "tiny_voxels.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
+        assert "config error: voxel size 1e-300 " in capsys.readouterr().err
+        assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
     def test_manifest_floor_z_reaches_training_scenes(self, toy_dir, trained_run, tmp_path,
                                                      monkeypatch):
         from scenehull import objective

@@ -55,6 +55,24 @@ class TestVoxelize:
         with pytest.raises(ValueError, match="int64"):
             voxelize(pc, 0.05)
 
+    @pytest.mark.parametrize("size", [1e-300, 1e-20])
+    def test_cells_beyond_int64_rejected(self, size):
+        # floor(p / size) past int64 used to saturate in the cast, merging
+        # 50 random points into 1 voxel at 1e-300 and into 15 at 1e-20
+        pc = PointCloud(np.random.default_rng(1).uniform(-1.0, 1.0, size=(50, 3)))
+        with pytest.raises(ValueError, match=f"voxel size {size} "):
+            voxelize(pc, size)
+
+    @pytest.mark.parametrize("x, accepted", [
+        (2.0 ** 60, True), (-(2.0 ** 61) + 512.0, True), (2.0 ** 61, False), (-(2.0 ** 61), False)])
+    def test_cell_range_is_below_two_to_the_61(self, x, accepted):
+        pc = PointCloud(np.array([[x, 0.0, 0.0]]))
+        if accepted:
+            assert voxelize(pc, 1.0).coords[0, 0] == int(x)
+        else:
+            with pytest.raises(ValueError, match="beyond 2"):
+                voxelize(pc, 1.0)
+
     def test_key_packing_near_the_limit(self):
         # a box of 2^62 cells still packs: distinct cells, distinct keys
         cells = np.array([[0, 0, 0], [1, 0, 0], [0, 2 ** 31 - 1, 2 ** 30 - 1]])

@@ -155,18 +155,26 @@ class TestBackward:
         assert np.all(grads["w_key"] == 0.0)
         assert np.all(grads["w_query"] == 0.0)
 
-    @pytest.mark.parametrize("centered", [False, True])
-    def test_grads_keyed_and_shaped_like_parameters(self, centered):
+    def test_grads_keyed_and_shaped_like_parameters(self):
         bank = tiny_bank(k=7, d=4, d_a=2, seed=3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 4))
-        bank.project(x, cache=True, centered=centered)
+        bank.project(x, cache=True)
         d_x, grads = bank.backward(rng.normal(size=(5, 4)))
         assert d_x.shape == x.shape
         params = bank.parameters()
         assert set(grads) == set(params)
         for name, p in params.items():
             assert grads[name].shape == p.shape and grads[name].dtype == p.dtype, name
+
+    def test_centered_readout_has_no_backward(self):
+        # nothing trains through the centered readout, so it caches nothing
+        bank = tiny_bank()
+        x = np.random.default_rng(5).normal(size=(3, 4))
+        with pytest.raises(ValueError, match="centered readout has no backward"):
+            bank.project(x, cache=True, centered=True)
+        with pytest.raises(RuntimeError, match="without a cached forward"):
+            bank.backward(np.zeros((3, 4)))
 
     def test_matches_finite_differences(self):
         from scenehull.gradcheck import check_dcr

@@ -18,11 +18,13 @@ from scenehull.objective import (
     ModelSet,
     TrainConfig,
     TrainingDiverged,
+    _prefixed,
     class_probs,
     compose_step_scene,
     contrastive_loss,
     infer_scene,
     infer_voxels,
+    scene_gradients,
     train,
 )
 from scenehull.scene import AugmentConfig
@@ -289,6 +291,69 @@ class TestTrain:
             train(models, small_table, encoder, bank, cfg, augment=AugmentConfig())
 
 
+    @pytest.mark.parametrize("part, message", [
+        ("bank", "bank feature dim does not match encoder output"),
+        ("table", "anchor projection does not match encoder output")])
+    @pytest.mark.parametrize("use_dcr", [True, False])
+    def test_parts_must_read_the_encoder_width(self, part, message, use_dcr):
+        # a bank of the wrong width is refused even when use_dcr leaves it out
+        models, table, encoder, bank = self.small_setup(seed=7)
+        if part == "bank":
+            bank = PrototypeBank.create(num_prototypes=12, feature_dim=6, attention_dim=4)
+        else:
+            table = toy_table(d=6)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=1, seed=7, use_dcr=use_dcr)
+        with pytest.raises(ValueError, match=message):
+            train(models, table, encoder, bank, cfg, augment=AugmentConfig())
+
+    def test_use_dcr_needs_a_bank(self):
+        models, table, encoder, _ = self.small_setup(seed=7)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=1, seed=7)
+        with pytest.raises(ValueError, match="use_dcr requires a prototype bank"):
+            train(models, table, encoder, None, cfg, augment=AugmentConfig())
+
+
+class TestSceneGradients:
+    """scene_gradients is the step that train runs. gradcheck checks it on
+    scenes whose points are all labeled; this checks the background mask."""
+
+    @pytest.mark.parametrize("with_bank", [True, False])
+    def test_background_points_match_finite_differences(self, with_bank):
+        from scenehull.gradcheck import compare, numeric_gradient
+
+        rng = np.random.default_rng(8)
+        encoder = SparseEncoder.create(widths=(2, 3), voxel_size=0.1, seed=8)
+        bank = PrototypeBank.create(num_prototypes=5, feature_dim=3, attention_dim=2,
+                                    inv_temperature=0.6, seed=9) if with_bank else None
+        table = AnchorTable(["a", "b"], rng.normal(size=(2, 4)), rng.normal(size=(4, 3)) * 0.5)
+        labels = rng.integers(0, 2, size=12)
+        labels[::3] = -1  # background: voxelized and encoded, never scored
+        scene = PointCloud(rng.uniform(-0.2, 0.2, size=(12, 3)), labels)
+        labeled = labels >= 0
+
+        def scalar():
+            feats = encoder.forward(scene)
+            projected = bank.project(feats) if with_bank else feats
+            return contrastive_loss(projected[labeled], labels[labeled], table)[0]
+
+        loss, grads = scene_gradients(scene, encoder, bank, table)
+        assert loss == scalar()
+        params = _prefixed(encoder=encoder.parameters(),
+                           bank=bank.parameters() if with_bank else None,
+                           anchors=table.parameters())
+        assert set(grads) == set(params)
+        for name, param in params.items():
+            result = compare(name, grads[name], numeric_gradient(scalar, param))
+            assert result.passed, str(result)
+
+    def test_scene_without_labeled_points_rejected(self):
+        encoder = SparseEncoder.create(widths=(2, 3), voxel_size=0.1, seed=8)
+        table = AnchorTable(["a", "b"], np.eye(2, 4), np.eye(4, 3))
+        scene = PointCloud(np.zeros((3, 3)), np.full(3, -1))
+        with pytest.raises(RuntimeError, match="no labeled points"):
+            scene_gradients(scene, encoder, None, table)
+
+
 class TestInferScene:
     def trained_pieces(self):
         models, table, encoder, bank = TestTrain().small_setup(seed=6)
@@ -462,6 +527,18 @@ class TestInferVoxels:
         assert len(probs) == num_voxels
         assert np.array_equal(infer_scene(cloud, encoder, bank, table, temperature=0.5),
                               probs[point_to_voxel])
+
+    @pytest.mark.parametrize("part, message", [
+        ("bank", "bank feature dim does not match encoder output"),
+        ("table", "anchor projection does not match encoder output")])
+    def test_parts_must_read_the_encoder_width(self, part, message):
+        encoder, bank, table = TestBlockedInferScene.pieces(widths=(4, 8), prototypes=12)
+        if part == "bank":
+            bank = PrototypeBank.create(num_prototypes=12, feature_dim=6, attention_dim=4)
+        else:
+            table = AnchorTable(["a", "b"], np.eye(2, 6), np.eye(6))
+        with pytest.raises(ValueError, match=message):
+            infer_voxels(PointCloud(np.zeros((1, 3))), encoder, bank, table)
 
     def test_points_of_a_voxel_write_identical_lines(self, tmp_path):
         encoder, bank, table = TestBlockedInferScene.pieces()

@@ -155,6 +155,15 @@ class TestResolveOverlap:
         out_a, out_b = resolve_overlap(a, a.copy(), cfg, np.random.default_rng(0))
         assert len(out_a) == 0 and len(out_b) == 0
 
+    def test_cells_beyond_int64_rejected(self):
+        # two clouds 5 m apart share no cell; at 1e-300 m every cell used to
+        # saturate in the int64 cast, and all points were flagged overlapped
+        a = random_cloud(50, seed=15)
+        b = PointCloud(random_cloud(50, seed=16).positions + 5.0)
+        cfg = AugmentConfig(overlap_voxel=1e-300)
+        with pytest.raises(ValueError, match="voxel size 1e-300 "):
+            resolve_overlap(a, b, cfg, np.random.default_rng(0))
+
     def test_identical_keep_half_binomial(self):
         a = random_cloud(1000, seed=14)
         cfg = AugmentConfig(overlap_keep_prob=0.5)

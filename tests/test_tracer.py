@@ -4,8 +4,10 @@ The tracer wraps encoder.sparse_conv_forward and, as soon as each call
 returns, counts its work from grid._neighbor_maps, grid.coords,
 grid.feats.dtype and the layer's weight. Its scene rows time
 scene.simulate_scene, objective.compose_step_scene and scene.resolve_overlap
-by name. A change that moves any of these zeroes the traced rows without
-failing a traced run; these tests fail instead.
+by name, and its training rows time SparseEncoder.backward,
+PrototypeBank.backward and Adam.step inside objective.train. A change that
+moves any of these zeroes the traced rows without failing a traced run;
+these tests fail instead.
 """
 
 import importlib
@@ -82,3 +84,25 @@ def test_traced_scene_rows_are_read():
                 "scene.resolve_overlap_ms"):
         assert 0.0 < metrics[key][0] < math.inf, key
     assert 0.0 < metrics["scene.overlap_keep_ratio"][0] <= 1.0
+
+
+def test_traced_training_rows_are_read():
+    tracing = load_tracer()
+    modules = traced_modules(tracing)
+    models, table, encoder, bank = test_objective.TestTrain().small_setup()
+    widths = tuple(layer.out_width for layer in encoder.layers)
+    objective = modules["objective"]
+    tracer = tracing.Tracer(modules, widths)
+    tracer.install()
+    try:
+        with tracer.root(0):
+            objective.train(models, table, encoder, bank,
+                            objective.TrainConfig(epochs=1, steps_per_epoch=2),
+                            xy_bounds=((0, 0), (2, 2)))
+    finally:
+        tracer.uninstall()
+    metrics = tracing.summarize(tracer, {0}, widths, False)["metrics"]
+
+    for key in ("encoder.backward_ms", "hull.backward_ms", "objective.adam_step_ms",
+                "objective.train_self_ms_per_step"):
+        assert 0.0 < metrics[key][0] < math.inf, key
