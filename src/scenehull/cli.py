@@ -5,13 +5,14 @@ BLAS thread count through environment variables, over any value the caller
 set, before numpy loads. With the default --threads 1 every subcommand is a
 deterministic function of its inputs and --seed and replays byte-identically.
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O error,
-4 numerical divergence.
+Exit codes: 0 success, 1 check failure, 2 config error, 3 I/O error or out of
+memory, 4 numerical divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -46,6 +47,31 @@ def _load_json(path, where: str) -> dict:
 
 def _log_config(label: str, resolved: dict) -> None:
     print(f"[{label}] config {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _run_directory(out_dir: Path):
+    """Make out_dir and yield path(name), which gives out_dir / name and
+    notes it as written. On a ValueError (ConfigError is one) the noted
+    files go, and so do out_dir and its parents that this made, each only
+    when empty; a directory that was there before stays."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+
+    def path(name):
+        written.append(out_dir / name)
+        return written[-1]
+
+    try:
+        yield path
+    except ValueError:
+        for file in written:
+            file.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def _write_json(path, data: dict) -> None:
@@ -144,6 +170,11 @@ def _is_xy_pair(value) -> bool:
 _INT = (_is_int, "an integer")
 _NON_NEGATIVE_INT = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
 _POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+# geometry.MAX_SAMPLE_POINTS, which geometry cannot give here: it loads numpy,
+# and --threads is read first
+_MAX_SAMPLE_POINTS = (2**31 - 1) // 4
+_SAMPLE_COUNT = (lambda v: _is_int(v) and 1 <= v <= _MAX_SAMPLE_POINTS,
+                 f"a positive integer at most {_MAX_SAMPLE_POINTS}")
 _NUMBER = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _PERCENT = (lambda v: _is_number(v) and 0 <= v <= 100, "a number in [0, 100]")
@@ -172,7 +203,7 @@ _MANIFEST_SCHEMA = {
     "models": (_OBJECT_LIST, _REQUIRED),
     "seed": (_NON_NEGATIVE_INT, 0),
     "num_scenes": (_NON_NEGATIVE_INT, 1),
-    "points_per_model": (_POSITIVE_INT, 8196),
+    "points_per_model": (_SAMPLE_COUNT, 8196),
     "xy_bounds": (_XY_BOUNDS, [[0.0, 0.0], [4.0, 4.0]]),
     "floor_percentile": (_PERCENT, 1.0),
     "floor_z": (_NUMBER_OR_NULL, None),
@@ -200,7 +231,7 @@ _TRAIN_SCHEMA = {
     "inv_temperature": (_NUMBER, 0.5),
     "normalize_anchors": (_BOOL, False),
     "inference_temperature": (_NUMBER, 1.0),
-    "points_per_model": (_POSITIVE_INT, _UNSET),  # unset: the manifest's
+    "points_per_model": (_SAMPLE_COUNT, _UNSET),  # unset: the manifest's
 }
 
 
@@ -284,25 +315,27 @@ def cmd_simulate(args) -> int:
     models, names = _manifest_models(manifest, points, seed)
 
     # a rejected config leaves no run directory behind
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "resolved_config.json", resolved)
-    for i in range(manifest["num_scenes"]):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 15485863, i]))
-        scene = compose_step_scene(
-            models, manifest["_augment"], rng, xy_bounds=manifest["_bounds"],
-            floor_z=manifest["floor_z"], floor_percentile=manifest["floor_percentile"],
-        )
-        geometry.save_points(out_dir / f"scene_{i:03d}.txt", scene)
-        # every point of an instance carries its class: read it at the first
-        ids, first, counts = np.unique(scene.instance_ids, return_index=True,
-                                       return_counts=True)
-        classes = scene.labels[first]
-        instances = [{"instance_id": inst, "class_id": label, "class_name": names.get(label),
-                      "n_points": n}
-                     for inst, label, n in zip(ids.tolist(), classes.tolist(), counts.tolist())]
-        class_set = np.unique(classes[ids >= 0]).tolist()  # sorted, background left out
-        _write_json(out_dir / f"scene_{i:03d}.json",
-                    {"scene": i, "seed": seed, "class_set": class_set, "instances": instances})
+    with _run_directory(out_dir) as path:
+        _write_json(path("resolved_config.json"), resolved)
+        for i in range(manifest["num_scenes"]):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 15485863, i]))
+            scene = compose_step_scene(
+                models, manifest["_augment"], rng, xy_bounds=manifest["_bounds"],
+                floor_z=manifest["floor_z"], floor_percentile=manifest["floor_percentile"],
+            )
+            geometry.save_points(path(f"scene_{i:03d}.txt"), scene)
+            # every point of an instance carries its class: read it at the first
+            ids, first, counts = np.unique(scene.instance_ids, return_index=True,
+                                           return_counts=True)
+            classes = scene.labels[first]
+            instances = [{"instance_id": inst, "class_id": label,
+                          "class_name": names.get(label), "n_points": n}
+                         for inst, label, n in zip(ids.tolist(), classes.tolist(),
+                                                   counts.tolist())]
+            class_set = np.unique(classes[ids >= 0]).tolist()  # sorted, background left out
+            _write_json(path(f"scene_{i:03d}.json"),
+                        {"scene": i, "seed": seed, "class_set": class_set,
+                         "instances": instances})
     print(f"wrote {manifest['num_scenes']} scenes to {out_dir}")
     return EXIT_OK
 
@@ -359,17 +392,19 @@ def cmd_train(args) -> int:
     encoder, bank, table = _build_components(cfg, base / cfg["embeddings"], class_names)
     models, _ = _manifest_models(manifest, points, cfg["seed"])
 
-    # a rejected config leaves no run directory behind
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "resolved_config.json", resolved)
-    with open(out_dir / "loss.log", "w", encoding="utf-8") as log:
-        losses = train(
-            models, table, encoder, bank, train_cfg, augment=manifest["_augment"],
-            xy_bounds=manifest["_bounds"], floor_z=manifest["floor_z"],
-            floor_percentile=manifest["floor_percentile"], log_file=log,
-        )
-    save_checkpoint(out_dir / "checkpoint.bin", encoder, bank, table,
-                    meta={"train_config": {k: v for k, v in resolved.items() if k != "out"}})
+    # a rejected config leaves no run directory behind; a divergence keeps
+    # the loss log
+    with _run_directory(out_dir) as path:
+        _write_json(path("resolved_config.json"), resolved)
+        with open(path("loss.log"), "w", encoding="utf-8") as log:
+            losses = train(
+                models, table, encoder, bank, train_cfg, augment=manifest["_augment"],
+                xy_bounds=manifest["_bounds"], floor_z=manifest["floor_z"],
+                floor_percentile=manifest["floor_percentile"], log_file=log,
+            )
+        save_checkpoint(path("checkpoint.bin"), encoder, bank, table,
+                        meta={"train_config": {k: v for k, v in resolved.items()
+                                               if k != "out"}})
     if losses:
         print(f"trained {len(losses)} epochs, loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     else:
@@ -507,6 +542,7 @@ def _class_ids(text):
 
 def build_parser() -> argparse.ArgumentParser:
     non_negative, positive = _flag(int, _NON_NEGATIVE_INT), _flag(int, _POSITIVE_INT)
+    sample_count = _flag(int, _SAMPLE_COUNT)
     parser = argparse.ArgumentParser(
         prog="scenehull",
         description="Simulate crowded point-cloud scenes, train hull-regularized "
@@ -518,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Poisson-disk sample a mesh surface")
     p.add_argument("mesh")
-    p.add_argument("-n", type=positive, default=8196, help="number of points (default 8196)")
+    p.add_argument("-n", type=sample_count, default=8196, help="number of points (default 8196)")
     p.add_argument("--seed", type=non_negative, default=0)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_sample)
@@ -526,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="compose labeled scenes from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--seed", type=non_negative, default=None, help="override manifest seed")
-    p.add_argument("--points", type=positive, default=None, help="override points per model")
+    p.add_argument("--points", type=sample_count, default=None,
+                   help="override points per model")
     p.add_argument("-o", "--out", required=True, help="output run directory")
     p.set_defaults(func=cmd_simulate)
 
@@ -564,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toy", help="write the procedural toy dataset")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--points", type=positive, default=512)
+    p.add_argument("--points", type=sample_count, default=512)
     p.add_argument("--seed", type=non_negative, default=7)
     p.add_argument("--scenes", type=non_negative, default=6)
     p.set_defaults(func=cmd_toy)
@@ -582,6 +619,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - map known failure classes to codes
         from .objective import TrainingDiverged

@@ -5,7 +5,8 @@ set (stride 1, no resampling), so the kernel map is built once per grid and
 read by every layer, forward and backward.
 
 The kernel map holds, per kernel offset, the (rows_out, rows_in) neighbour
-pairs, sorted by rows_out. Offset 26 - o is offset o with its two sides
+pairs as int32 rows, sorted by rows_out; a grid of 2**31 voxels would not fit
+in memory anyway. Offset 26 - o is offset o with its two sides
 swapped and the centre offset is the identity, so 13 key searches build all
 27 maps. Its block plan splits the output rows into blocks of BLOCK_ROWS.
 
@@ -74,7 +75,7 @@ class SparseFeatureGrid:
 
     @property
     def neighbor_maps(self):
-        """Per kernel offset, (rows_out, rows_in) with coords[rows_in] ==
+        """Per kernel offset, int32 (rows_out, rows_in) with coords[rows_in] ==
         coords[rows_out] + offset, sorted by rows_out. Rows are unique on
         both sides for a fixed offset, so scatter-adds below never collide."""
         if self._neighbor_maps is None:
@@ -113,7 +114,7 @@ def _build_neighbor_maps(coords: np.ndarray):
     sorted_keys = keys[order]
     if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         raise ValueError("voxel coordinates must be distinct")
-    rows = np.arange(len(coords))
+    rows = np.arange(len(coords), dtype=np.int32)
     maps = [None] * NUM_OFFSETS
     maps[CENTRE] = (rows, rows)
     for o in range(CENTRE):
@@ -121,8 +122,8 @@ def _build_neighbor_maps(coords: np.ndarray):
         pos = np.searchsorted(sorted_keys, target)
         pos = np.minimum(pos, len(sorted_keys) - 1)
         hit = sorted_keys[pos] == target
-        rows_out = np.flatnonzero(hit)
-        rows_in = order[pos[hit]]
+        rows_out = np.flatnonzero(hit).astype(np.int32)
+        rows_in = order[pos[hit]].astype(np.int32)
         maps[o] = (rows_out, rows_in)
         # OFFSETS[26 - o] == -OFFSETS[o]: the same pairs, sides swapped. On
         # coordinate-ordered rows, as voxelize makes them, rows_in already

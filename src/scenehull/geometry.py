@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 # Faces with area at or below this are dropped at load time.
@@ -24,6 +25,10 @@ DEGENERATE_AREA = 1e-12
 OVERSAMPLE = 4
 WEIGHT_EXPONENT = 8.0
 CANDIDATES = 128
+# The most points to sample: their OVERSAMPLE * n candidates fit int32
+# indices. Pair weights are computed PAIR_PART pairs at a time.
+MAX_SAMPLE_POINTS = (2**31 - 1) // OVERSAMPLE
+PAIR_PART = 65536
 
 
 class MeshFormatError(ValueError):
@@ -380,7 +385,15 @@ def poisson_disk_sample(mesh: TriangleMesh, n: int, rng: np.random.Generator) ->
     over neighbors within 2*r of (1 - d/(2r))**WEIGHT_EXPONENT with
     r = sqrt(area / (2*sqrt(3)*n)), then greedily removes the heaviest
     point (lowest index on ties) and subtracts its pair weights from its
-    neighbors, until n remain (Yuksel, Eurographics 2015).
+    neighbors, until n remain (Yuksel, Eurographics 2015). n above
+    MAX_SAMPLE_POINTS raises ValueError: its candidates would not fit the
+    int32 pair indices.
+
+    The pair weights are computed PAIR_PART pairs at a time into one array,
+    so no gather spans all pairs. Each point's initial weight is a bincount
+    over the pair list in query order, both directions; that summation
+    order fixes its bits, so it is not taken from the neighbor rows.
+    scipy.sparse builds those rows, in CSR form, by a counting sort.
 
     Removals come from a window of the CANDIDATES heaviest live points (by
     weight, then lowest index); (v, last) is the key of the point ranked
@@ -391,22 +404,30 @@ def poisson_disk_sample(mesh: TriangleMesh, n: int, rng: np.random.Generator) ->
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if n > MAX_SAMPLE_POINTS:
+        raise ValueError(f"cannot sample {n} points: at most {MAX_SAMPLE_POINTS}")
     m = OVERSAMPLE * n
     points = area_weighted_sample(mesh, m, rng).positions
 
     radius = 2.0 * poisson_radius(surface_area(mesh), n)
-    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray")
-    dist = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
-    pair_w = (1.0 - dist / radius) ** WEIGHT_EXPONENT
-    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    wgt = np.concatenate([pair_w, pair_w])
+    pairs = cKDTree(points).query_pairs(radius, output_type="ndarray").astype(np.int32)
+    p = len(pairs)
+    wgt = np.empty(2 * p)
+    for lo in range(0, p, PAIR_PART):
+        part = pairs[lo:lo + PAIR_PART]
+        dist = np.linalg.norm(points[part[:, 0]] - points[part[:, 1]], axis=1)
+        wgt[lo:lo + len(part)] = (1.0 - dist / radius) ** WEIGHT_EXPONENT
+    wgt[p:] = wgt[:p]
+    src = pairs.T.ravel()
+    del pairs
+    dst = np.concatenate([src[p:], src[:p]])
     # bincount of no pairs is int64; the subtractions below need floats
     weight = np.bincount(src, weights=wgt, minlength=m).astype(np.float64)
-    # neighbor rows in CSR form; each lists a neighbor once, in any order
-    order = np.argsort(src)
-    src, dst, wgt = src[order], dst[order], wgt[order]
-    bounds = np.searchsorted(src, np.arange(m + 1)).tolist()
+    # neighbor rows; each lists a neighbor once, in any order
+    rows = csr_matrix((wgt, (src, dst)), shape=(m, m))
+    del src, dst, wgt
+    bounds, dst, wgt = rows.indptr.tolist(), rows.indices.astype(np.intp), rows.data
+    del rows
 
     remaining = m
     while remaining > n:

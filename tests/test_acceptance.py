@@ -149,6 +149,7 @@ def test_criterion_1_convex_hull_invariant():
 # 2. Gradient suite, 100 seeds, < 2 min
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_2_gradient_suite():
     tic = time.perf_counter()
     failures = []
@@ -307,6 +308,7 @@ def _train_arm(models, seed, use_dcr, cfg_json):
     return table, encoder, bank
 
 
+@pytest.mark.slow
 def test_criterion_7_dcr_ablation_direction(toy_dir, toy_models):
     cfg_json = json.loads((toy_dir / "train_config.json").read_text())
     with_dcr, without_dcr = [], []

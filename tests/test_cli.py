@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scenehull import geometry
 from scenehull.cli import _NON_NEGATIVE_INT, _POSITIVE, _THREAD_VARS, build_parser, main
 from scenehull.toydata import build_toy_dataset
 
@@ -107,6 +108,30 @@ class TestSample:
         assert_flag_rejected(["sample", toy_dir / "box.off", flag, value, "-o", out], flag, capsys)
         assert not out.exists()
 
+    def test_count_beyond_the_ceiling_exit_2_before_sampling(self, toy_dir, tmp_path, capsys,
+                                                             monkeypatch):
+        # it used to allocate 29.1 TiB of candidates, fail, and print a traceback
+        calls = []
+        monkeypatch.setattr(geometry, "poisson_disk_sample", lambda *a: calls.append(a))
+        out = tmp_path / "pts.txt"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sample", toy_dir / "box.off", "-n", 10**12, "-o", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument -n: must be a positive integer at most " \
+            f"{geometry.MAX_SAMPLE_POINTS}, got '1000000000000'" in err
+        assert calls == [] and not out.exists()
+
+    def test_out_of_memory_exit_3_in_one_line(self, toy_dir, tmp_path, capsys, monkeypatch):
+        def sample(*args):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(geometry, "poisson_disk_sample", sample)
+        assert run_cli(["sample", toy_dir / "box.off", "-n", 64, "-o", tmp_path / "o.txt"]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("out of memory: Unable to allocate 29.1 TiB for an array\n")
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_writes_scenes_and_sidecars(self, toy_dir, tmp_path):
@@ -156,14 +181,17 @@ class TestSimulate:
     @pytest.mark.parametrize("field, value, message", [
         ("num_scenes", -1, "manifest: num_scenes must be a non-negative integer"),
         ("points_per_model", 0, "manifest: points_per_model must be a positive integer"),
+        ("points_per_model", geometry.MAX_SAMPLE_POINTS + 1,
+         "manifest: points_per_model must be a positive integer at most "
+         f"{geometry.MAX_SAMPLE_POINTS}, got {geometry.MAX_SAMPLE_POINTS + 1}"),
         ("xy_bounds", [[0.0, 3.0], [3.0, 0.0]], "manifest: xy_bounds must be"),
         ("augment.scale_min", 1.2, "manifest.augment: need 0 < scale_min <= scale_max"),
         ("seed", -1, "manifest: seed must be a non-negative integer"),
         # -1 is the background label
         ("models[2].class_id", -1,
          "manifest.models[2]: class_id must be a non-negative integer"),
-    ], ids=["num_scenes", "points_per_model", "xy_bounds", "augment.scale_min", "seed",
-            "models.class_id"])
+    ], ids=["num_scenes", "points_per_model", "points_per_model_ceiling", "xy_bounds",
+            "augment.scale_min", "seed", "models.class_id"])
     def test_negative_num_scenes_config_error(self, toy_dir, tmp_path, capsys, field, value,
                                               message):
         data = json.loads((toy_dir / "manifest.json").read_text())
@@ -177,11 +205,29 @@ class TestSimulate:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--seed", -1), ("--points", 0)])
+    @pytest.mark.parametrize("flag, value", [("--seed", -1), ("--points", 0),
+                                             ("--points", geometry.MAX_SAMPLE_POINTS + 1)])
     def test_out_of_range_flag_exit_2(self, toy_dir, tmp_path, capsys, flag, value):
         assert_flag_rejected(["simulate", "--manifest", toy_dir / "manifest.json",
                               flag, value, "-o", tmp_path / "run"], flag, capsys)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_late_config_error_leaves_no_run_files(self, toy_dir, tmp_path, capsys, existed):
+        # the overlap voxel is checked against the scene only while composing
+        data = json.loads((toy_dir / "manifest.json").read_text())
+        data["augment"]["overlap_voxel"] = 1e-300
+        manifest = write_manifest(toy_dir, tmp_path / "manifest.json", augment=data["augment"])
+        out = tmp_path / "runs" / "run"
+        if existed:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        assert run_cli(["simulate", "--manifest", manifest, "--points", 64, "-o", out]) == 2
+        assert "config error: voxel size 1e-300 " in capsys.readouterr().err
+        if existed:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert not (tmp_path / "runs").exists()
 
     def test_floor_z_sets_every_model_floor(self, toy_dir, tmp_path):
         data = json.loads((toy_dir / "manifest.json").read_text())
@@ -378,7 +424,8 @@ class TestTrain:
         ("lr", float("inf")), ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0), ("lr", -1),
         ("precision", "float16"), ("encoder_widths", []), ("encoder_widths", [32, 0]),
         ("prototypes", 0), ("attention_dim", 0), ("voxel_size", 0), ("voxel_size", -0.05),
-        ("points_per_model", 0), ("seed", -1)])
+        ("points_per_model", 0), ("points_per_model", geometry.MAX_SAMPLE_POINTS + 1),
+        ("seed", -1)])
     def test_bad_optimizer_setting_config_error(self, toy_dir, trained_run, tmp_path, capsys,
                                                 field, value):
         # one step: the bad setting would write a non-finite checkpoint
@@ -425,6 +472,7 @@ class TestTrain:
             assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 4
         assert "numerical divergence: parameter" in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
+        assert (tmp_path / "run" / "loss.log").exists()
 
     def test_voxel_cells_beyond_int64_exit_2(self, toy_dir, trained_run, tmp_path, capsys):
         # at 1e-300 m the int64 cast used to merge every point of a scene
@@ -436,6 +484,25 @@ class TestTrain:
         assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
         assert "config error: voxel size 1e-300 " in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_late_config_error_leaves_no_run_files(self, toy_dir, trained_run, tmp_path, capsys,
+                                                   existed):
+        # the voxel size is checked against the scene only while training
+        cfg = json.loads((toy_dir / "quick_train.json").read_text())
+        cfg.update({"voxel_size": 1e-300, "epochs": 1, "steps_per_epoch": 1})
+        path = toy_dir / "tiny_voxels.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        if existed:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept")
+        assert run_cli(["train", "--config", path, "-o", out]) == 2
+        assert "config error: voxel size 1e-300 " in capsys.readouterr().err
+        if existed:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert not out.exists()
 
     def test_manifest_floor_z_reaches_training_scenes(self, toy_dir, trained_run, tmp_path,
                                                      monkeypatch):
@@ -893,7 +960,8 @@ class TestGradcheckCommand:
 
 
 class TestToyCommand:
-    @pytest.mark.parametrize("flag, value", [("--points", 0), ("--scenes", -1), ("--seed", -1)])
+    @pytest.mark.parametrize("flag, value", [("--points", 0), ("--scenes", -1), ("--seed", -1),
+                                             ("--points", geometry.MAX_SAMPLE_POINTS + 1)])
     def test_out_of_range_flag_exit_2(self, tmp_path, capsys, flag, value):
         assert_flag_rejected(["toy", "-o", tmp_path / "toy", flag, value], flag, capsys)
         assert not (tmp_path / "toy").exists()

@@ -192,6 +192,7 @@ class TestKernelMap:
             grid = SparseFeatureGrid(coords, np.ones((len(coords), 1)), np.arange(len(coords)))
             for (out, inp), (ref_out, ref_in) in zip(grid.neighbor_maps,
                                                      reference_neighbor_maps(coords)):
+                assert out.dtype == inp.dtype == np.int32
                 np.testing.assert_array_equal(out, ref_out)
                 np.testing.assert_array_equal(inp, ref_in)
 

@@ -339,6 +339,27 @@ class TestPoissonDisk:
         np.testing.assert_array_equal(a.positions, b.positions)
 
 
+class TestPoissonDiskLimits:
+    def test_count_beyond_int32_candidates_rejected(self):
+        assert geometry.MAX_SAMPLE_POINTS * geometry.OVERSAMPLE < 2**31
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"at most {geometry.MAX_SAMPLE_POINTS}"):
+            poisson_disk_sample(unit_square_mesh(), geometry.MAX_SAMPLE_POINTS + 1, rng)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
+
+    @pytest.mark.parametrize("name", TOY_CLASSES)
+    def test_memory_peak_of_a_dense_model(self, name):
+        # no array spans all ~240k pairs for long: the pair weights are
+        # computed in parts and the neighbor rows are counting-sorted
+        tracemalloc.start()
+        try:
+            poisson_disk_sample(toy_mesh(name), 8196, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+
 class TestTransforms:
     def test_full_turn_is_identity(self):
         rng = np.random.default_rng(0)
