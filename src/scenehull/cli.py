@@ -436,6 +436,8 @@ def cmd_infer(args) -> int:
             table.add_class(name, vector)
 
     cloud = geometry.load_points(args.scene)
+    if len(cloud) == 0:
+        raise ConfigError(f"scene {args.scene}: no points")
     probs, point_to_voxel = infer_voxels(cloud, ckpt.encoder, ckpt.bank, table,
                                          temperature=args.temperature)
     geometry.save_probabilities(args.out, probs, order=point_to_voxel)

@@ -293,7 +293,13 @@ def _parse_lines(path, text, layout):
 def _write_rows(fh, columns, formats, order=None) -> None:
     """One line per row of the 1-D columns, formatted in parts by formats, one
     per column (%.17g round-trips float64 exactly). With order, line i
-    repeats row order[i], and each row is still formatted once."""
+    repeats row order[i], and each row is still formatted once.
+
+    The ordered rows wait in one fixed-width byte array, 25 bytes a column:
+    a %.17g float64 or a %d int64 is at most 24 characters (as in
+    -2.2250738585072014e-308), plus its space or newline. As one Python
+    str each, the rows would fill CPython's small-object arenas, which the
+    process keeps after the write."""
     fmt = " ".join(formats) + "\n"
     parts = ([fmt % row for row in zip(*(c[lo:lo + _PART].tolist() for c in columns))]
              for lo in range(0, len(columns[0]), _PART))
@@ -301,9 +307,11 @@ def _write_rows(fh, columns, formats, order=None) -> None:
         for lines in parts:
             fh.writelines(lines)
     else:
-        lines = list(itertools.chain.from_iterable(parts))
+        rows = np.empty(len(columns[0]), f"S{25 * len(columns)}")
+        for lo, lines in zip(range(0, len(rows), _PART), parts):
+            rows[lo:lo + _PART] = lines
         for lo in range(0, len(order), _PART):
-            fh.writelines(map(lines.__getitem__, order[lo:lo + _PART].tolist()))
+            fh.write(b"".join(rows[order[lo:lo + _PART]].tolist()).decode())
 
 
 def load_points(path) -> PointCloud:

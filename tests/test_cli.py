@@ -668,6 +668,18 @@ class TestInferEval:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["", "# a comment\n\n  \n"])
+    def test_scene_without_points_names_the_file(self, trained_run, tmp_path, capsys, text):
+        # it exited 2 as "cannot voxelize an empty cloud", which names no file
+        scene = tmp_path / "scene.txt"
+        scene.write_text(text)
+        out = tmp_path / "probs.txt"
+        assert run_cli(["infer", "--checkpoint", trained_run / "checkpoint.bin",
+                        "--scene", scene, "-o", out]) == 2
+        assert f"config error: scene {scene}: no points" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".classes.txt").exists()
+
     @pytest.mark.parametrize("bad, line", [("nan 0.5", 2), ("0.5 inf", 2), ("-inf 0.5", 3)])
     def test_non_finite_probability_exit_2(self, tmp_path, capsys, bad, line):
         # a nan row once scored AmAP 0.9167 and mIoU 1.0 with exit 0

@@ -1,8 +1,10 @@
 """Mesh loading, surface sampling and rigid transforms."""
 
 import heapq
+import io
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -732,3 +734,79 @@ class TestLoadPointsMemory:
         assert outcome(load_points, path) == outcome(line_loop_load_points, path)
         assert len(load_points(path)) == 9000
         assert not recwarn.list
+
+
+def _ordered_cases():
+    """(probs, order) tables that span several 4096-row parts, or none."""
+    rng = np.random.default_rng(11)
+    # the widest %.17g strings, 24 characters, the most a float64 can take
+    widest = [-2.2250738585072014e-308, -1.7976931348623157e+308, -4.9406564584124654e-324]
+    wide = rng.choice(widest + [-0.0, 0.1, -1 / 3], size=(9000, 5))
+    wide[0] = widest + [-0.0, widest[0]]
+    probs = rng.random((10000, 3))
+    probs[::7] = -0.0
+    return {"widest": (wide, rng.integers(0, 9000, 20000)),
+            "random": (probs, rng.permutation(np.tile(np.arange(10000), 2))),
+            "one row": (wide[:1], np.zeros(5000, np.intp)),
+            "empty order": (probs[:4], np.zeros(0, np.intp))}
+
+
+class FirstWrite:
+    """A file that notes sys.getallocatedblocks() at its first write."""
+
+    def __init__(self, fh):
+        self.fh, self.blocks = fh, None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.blocks = self.blocks or sys.getallocatedblocks()
+        return self.fh.write(text)
+
+    def writelines(self, lines):
+        self.blocks = self.blocks or sys.getallocatedblocks()
+        return self.fh.writelines(lines)
+
+
+class TestOrderedWrite:
+    """save_probabilities(path, probs, order) writes line i as row order[i],
+    formatting each distinct row once."""
+
+    @pytest.mark.parametrize("name", ["widest", "random", "one row", "empty order"])
+    def test_same_bytes_as_the_gathered_table(self, tmp_path, name):
+        # an S dtype cuts a longer string without error; this holds the width
+        probs, order = _ordered_cases()[name]
+        ordered, gathered = tmp_path / "ordered.txt", tmp_path / "gathered.txt"
+        save_probabilities(ordered, probs, order)
+        save_probabilities(gathered, probs[order])
+        assert ordered.read_bytes() == gathered.read_bytes()
+        if len(order):
+            np.testing.assert_array_equal(load_probabilities(ordered), probs[order])
+
+    def test_widest_int64_rows(self):
+        ints = np.array([-2**63, 2**63 - 1, -1, 0])
+        columns, order = [ints, ints[::-1]], np.array([0, 3, 1, 1, 2, 0])
+        ordered, gathered = io.StringIO(), io.StringIO()
+        geometry._write_rows(ordered, columns, ["%d", "%d"], order)
+        geometry._write_rows(gathered, [c[order] for c in columns], ["%d", "%d"])
+        assert ordered.getvalue() == gathered.getvalue()
+
+    def test_rows_are_not_kept_as_python_objects(self, tmp_path, monkeypatch):
+        # 50k distinct rows, one str each, held about 54k more allocated
+        # blocks at the first write
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(FirstWrite(open(*args, **kwargs)))
+            return opened[-1]
+
+        monkeypatch.setattr(geometry, "open", recording_open, raising=False)
+        rng = np.random.default_rng(12)
+        probs, order = rng.random((50000, 5)), rng.integers(0, 50000, 90000)
+        before = sys.getallocatedblocks()
+        save_probabilities(tmp_path / "probs.txt", probs, order)
+        assert opened[0].blocks - before < 2 * geometry._PART
