@@ -9,6 +9,8 @@ always serializes to identical bytes.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +38,18 @@ def _array_entry(name: str, arr: np.ndarray) -> dict:
     return {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
 
 
+def _named_arrays(encoder: SparseEncoder, bank: PrototypeBank | None,
+                  table: AnchorTable) -> dict:
+    """Every array a checkpoint holds, by full name, in payload order; the
+    frozen embeddings go ahead of the trained projection."""
+    return _prefixed(encoder=encoder.parameters(),
+                     bank=None if bank is None else bank.parameters(),
+                     anchors={"embeddings": table.embeddings, **table.parameters()})
+
+
 def save_checkpoint(path, encoder: SparseEncoder, bank: PrototypeBank | None,
                     table: AnchorTable, meta: dict | None = None) -> None:
-    # the frozen embeddings go ahead of the trained projection
-    arrays = _prefixed(encoder=encoder.parameters(),
-                       bank=None if bank is None else bank.parameters(),
-                       anchors={"embeddings": table.embeddings, **table.parameters()})
+    arrays = _named_arrays(encoder, bank, table)
 
     header = {
         "format": FORMAT_VERSION,
@@ -110,15 +118,19 @@ def load_checkpoint(path) -> Checkpoint:
             if header[section] is not None:
                 _parse(header[section], schema, f"{path}: checkpoint header {section}")
         arrays = {}
+        left = os.fstat(fh.fileno()).st_size - fh.tell()  # payload bytes not yet read
         for i, entry in enumerate(header["arrays"]):
             _parse(entry, _ARRAY_ENTRY_SCHEMA, f"{path}: checkpoint header arrays[{i}]")
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            data = fh.read(count * dtype.itemsize)
-            if len(data) != count * dtype.itemsize:
-                raise OSError(f"{path}: truncated array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+            name, dtype, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
+            nbytes = math.prod(shape) * dtype.itemsize  # Python ints: a huge shape cannot wrap
+            if nbytes > left:
+                raise OSError(f"{path}: truncated array {name}")
+            left -= nbytes
+            arrays[name] = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"{path}: array {name} is not finite")
+        if left:
+            raise OSError(f"{path}: {left} bytes after the last array")
 
     def array(name, *dims):
         """arrays[name], whose shape must be dims (None: any length)."""
@@ -156,4 +168,8 @@ def load_checkpoint(path) -> Checkpoint:
         array("anchors.w_proj", embeddings.shape[1], dim),
         normalize=header["anchors"]["normalize"],
     )
+    # a payload read in another order would load each array from the wrong bytes
+    expected = list(_named_arrays(encoder, bank, table))
+    if list(arrays) != expected:
+        raise ValueError(f"{path}: arrays {list(arrays)} are not {expected} in that order")
     return Checkpoint(encoder=encoder, bank=bank, table=table, meta=header["meta"])

@@ -614,9 +614,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     for var in _THREAD_VARS:  # --threads wins over the caller's environment
         os.environ[var] = str(args.threads)
+    from .objective import TrainingDiverged  # loads numpy, so after --threads
+
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError is one
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -625,16 +627,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
-    except Exception as exc:  # noqa: BLE001 - map known failure classes to codes
-        from .objective import TrainingDiverged
-
-        if isinstance(exc, TrainingDiverged):
-            print(f"numerical divergence: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        if isinstance(exc, ValueError):
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        raise
+    except TrainingDiverged as exc:
+        print(f"numerical divergence: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

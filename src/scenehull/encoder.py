@@ -31,8 +31,8 @@ Gradients for all kernel weights and biases are accumulated by hand in
 reverse mode, which lets them be checked against central finite differences
 in double precision. The backward pass is unblocked: the weight gradient is
 one GEMM per offset over all its pairs, and splitting that sum would change
-it. It reads every layer's input, which forward() keeps by draining each
-layer of the pipeline into a whole array. The ReLU runs in place; backward()
+it. It reads every layer's input, which a pass with no readout keeps by
+draining each layer into a whole array. The ReLU runs in place; backward()
 reads its output, which is positive exactly where its pre-activation is.
 """
 
@@ -243,9 +243,9 @@ def _conv_blocks(maps, plan, below, layer, unit, dtype):
 class SparseEncoder:
     """Conv stack over a sparse voxel grid; points read out their voxel row.
 
-    ReLU follows every layer except the last. forward() caches everything
-    backward() needs; calling backward() after forward_grid() without
-    cache=True, or with no forward at all, raises.
+    ReLU follows every layer except the last. A pass with no readout keeps
+    what backward() needs; a readout pass keeps nothing and drops what an
+    earlier pass kept, so backward() after it, or with no pass, raises.
     """
 
     def __init__(self, layers, voxel_size: float = 0.05):
@@ -290,23 +290,21 @@ class SparseEncoder:
             params[f"layers.{i}.bias"] = layer.bias
         return params
 
-    def forward_grid(self, grid: SparseFeatureGrid, cache: bool = False,
-                     readout=None) -> np.ndarray:
-        """Run the stack on a prepared grid; returns (V, D) voxel features,
-        or the stacked readout(block) of each block of them. Without cache
-        the layers run as one block pipeline, and a later backward() raises;
-        cache=True drains each layer whole and keeps it for backward().
+    def forward_grid(self, grid: SparseFeatureGrid, readout=None) -> np.ndarray:
+        """Run the stack on a prepared grid. With no readout: the (V, D) voxel
+        features, each layer drained whole and kept for backward(). With one:
+        the stacked readout(block) of each block, one pipeline that keeps nothing.
         """
         inputs, blocks = [grid.feats], None  # the first layer reads grid.feats
         for i, layer in enumerate(self.layers):
-            if cache and i:
+            if readout is None and i:
                 inputs.append(np.concatenate(list(blocks)))
                 blocks = inputs[-1:]
             blocks = sparse_conv_forward(grid, layer, blocks)
             if i < len(self.layers) - 1:
                 blocks = (np.maximum(block, 0.0, out=block) for block in blocks)
         out = np.concatenate([block if readout is None else readout(block) for block in blocks])
-        self._cache = {"grid": grid, "inputs": inputs} if cache else None
+        self._cache = {"grid": grid, "inputs": inputs} if readout is None else None
         return out
 
     def voxelize(self, pc: PointCloud) -> SparseFeatureGrid:
@@ -316,13 +314,14 @@ class SparseEncoder:
     def forward(self, pc: PointCloud) -> np.ndarray:
         """Voxelize, convolve, and give each point its voxel's feature."""
         grid = self.voxelize(pc)
-        return self.forward_grid(grid, cache=True)[grid.point_to_voxel]
+        return self.forward_grid(grid)[grid.point_to_voxel]
 
     def backward(self, upstream: np.ndarray) -> dict:
         """Exact parameter gradients for upstream per-point feature gradients.
 
         Accumulates through the point->voxel lookup, the ReLUs and every
-        sparse convolution; returns a dict keyed like parameters().
+        sparse convolution of the last pass; returns a dict keyed like
+        parameters(). RuntimeError unless that pass had no readout.
         """
         if self._cache is None:
             raise RuntimeError("backward called without a cached forward pass")

@@ -65,6 +65,12 @@ def compare(name: str, analytic: np.ndarray, numeric: np.ndarray) -> CheckResult
                        float((abs_err / denom).max(initial=0.0)), ok)
 
 
+def _compare_all(prefix: str, scalar, tensors: dict, analytic: dict) -> list:
+    """compare() per named tensor, in name order, against differences of scalar."""
+    return [compare(f"{prefix}.{name}", analytic[name], numeric_gradient(scalar, tensors[name]))
+            for name in sorted(tensors)]
+
+
 def _random_cloud(rng, n_points: int, extent: float = 0.4) -> PointCloud:
     return PointCloud(rng.uniform(-extent, extent, size=(n_points, 3)))
 
@@ -83,11 +89,10 @@ def check_dcr(seed: int) -> list:
     def scalar():
         return float((bank.project(x) * probe).sum())
 
-    bank.project(x, cache=True)
+    bank.project(x)
     d_x, grads = bank.backward(probe)
-    tensors = {"features": x, **bank.parameters()}
-    return [compare(f"dcr.{name}", analytic, numeric_gradient(scalar, tensors[name]))
-            for name, analytic in {"features": d_x, **grads}.items()]
+    return _compare_all("dcr", scalar, {"features": x, **bank.parameters()},
+                        {"features": d_x, **grads})
 
 
 def check_encoder(seed: int) -> list:
@@ -103,10 +108,7 @@ def check_encoder(seed: int) -> list:
         return float((encoder.forward_grid(grid)[grid.point_to_voxel] * probe).sum())
 
     encoder.forward(cloud)
-    grads = encoder.backward(probe)
-    params = encoder.parameters()
-    return [compare(f"encoder.{name}", grads[name], numeric_gradient(scalar, params[name]))
-            for name in sorted(params)]
+    return _compare_all("encoder", scalar, encoder.parameters(), encoder.backward(probe))
 
 
 def check_loss(seed: int) -> list:
@@ -123,9 +125,8 @@ def check_loss(seed: int) -> list:
         return contrastive_loss(feats, labels, table)[0]
 
     _, d_feats, grads = contrastive_loss(feats, labels, table)
-    return [compare("loss.features", d_feats, numeric_gradient(scalar, feats))] + [
-        compare(f"loss.{name}", grads[name], numeric_gradient(scalar, tensor))
-        for name, tensor in table.parameters().items()]
+    return _compare_all("loss", scalar, {"features": feats, **table.parameters()},
+                        {"features": d_feats, **grads})
 
 
 def check_end_to_end(seed: int) -> list:
@@ -154,8 +155,7 @@ def check_end_to_end(seed: int) -> list:
     params = _prefixed(anchors=table.parameters(), bank=bank.parameters(),
                        encoder=encoder.parameters())
     _, grads = scene_gradients(PointCloud(cloud.positions, labels), encoder, bank, table)
-    return [compare(f"e2e.{name}", grads[name], numeric_gradient(scalar, params[name]))
-            for name in sorted(params)]
+    return _compare_all("e2e", scalar, params, grads)
 
 
 def dense_conv_reference(coords: np.ndarray, feats: np.ndarray, layer: ConvLayer) -> np.ndarray:

@@ -14,7 +14,7 @@ prefers no prototype then lands on the origin, where every class scores the
 same. A test-time shift blurs features and softens the coefficients, which
 pulls outputs toward c. With the centered readout that pull costs confidence
 but adds no bias toward the classes c favors. Nothing trains through the
-centered readout, so it is forward only: it has no backward.
+centered readout, so it is forward only: it keeps no state for backward().
 """
 
 from __future__ import annotations
@@ -133,32 +133,31 @@ class PrototypeBank:
         """Simplex weights over prototypes: softmax of the attention logits."""
         return softmax(self.logits(x))
 
-    def project(self, x: np.ndarray, cache: bool = False, centered: bool = False) -> np.ndarray:
+    def project(self, x: np.ndarray, centered: bool = False) -> np.ndarray:
         """Convex combination of prototypes with coefficients(x) as weights.
 
         centered=True returns the same point relative to the prototypes'
         centroid, coefficients(x) @ (prototypes - prototypes.mean(axis=0)).
         The coefficients are unchanged (moving every prototype by one vector
         adds a per-row constant to the attention logits), so only the
-        constant centroid term is dropped. The centered readout is forward
-        only: cache=True with centered=True raises ValueError.
+        constant centroid term is dropped. Uncentered, it keeps x and its
+        attention for backward(); the centered readout is forward only and
+        drops what an earlier call kept.
         """
-        if cache and centered:
-            raise ValueError("the centered readout has no backward; project it without cache")
         x = np.asarray(x)
         keys, queries, logits = self._attention(x)
         coeffs = softmax(logits)
         out = coeffs @ self.prototypes
         if centered:
             out -= self.prototypes.mean(axis=0)
-        if cache:
-            self._cache = {"x": x, "keys": keys, "queries": queries, "coeffs": coeffs}
+        self._cache = None if centered else {"x": x, "keys": keys, "queries": queries,
+                                             "coeffs": coeffs}
         return out
 
     def backward(self, upstream: np.ndarray):
         """Exact gradients of sum(upstream * project(x)): returns (d_x,
-        grads), grads a dict keyed like parameters(). Requires
-        project(..., cache=True) first.
+        grads), grads a dict keyed like parameters(). Reads what the last
+        project() kept: RuntimeError when it was centered or there was none.
 
         The prototypes get two contributions: the value path (weighted sum)
         and the query path through the attention logits.

@@ -98,9 +98,12 @@ def class_probs(feats: np.ndarray, table: AnchorTable, temperature: float = 1.0)
     feats = np.asarray(feats)
     if feats.ndim != 2:
         raise ValueError(f"expected an (N, D) batch, got shape {feats.shape}")
-    if not np.isfinite(feats).all():
-        raise ValueError("features must be finite")
-    return softmax((feats @ table.matrix().T) / temperature)
+    # finite scores further apart than the float range shift to -inf: exp gives 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = (feats @ table.matrix().T) / temperature
+        if not np.isfinite(scores).all():
+            raise ValueError(f"class scores are not finite at temperature {temperature}")
+        return softmax(scores)
 
 
 class Adam:
@@ -210,13 +213,11 @@ def scene_gradients(scene: PointCloud, encoder: SparseEncoder, bank: PrototypeBa
     """The training step on one labeled scene: (loss, grads), grads keyed
     like the "<group>.<name>" parameters that train optimizes. A bank that
     is not None projects the features onto its hull. Only points labeled
-    >= 0 are scored; background points get zero gradient rows. The caller
-    checks that the loss is finite."""
+    >= 0 are scored (ValueError when there are none); background points get
+    zero gradient rows. The caller checks that the loss is finite."""
     feats = encoder.forward(scene)
-    projected = feats if bank is None else bank.project(feats, cache=True)
+    projected = feats if bank is None else bank.project(feats)
     labeled = scene.labels >= 0
-    if not labeled.any():
-        raise RuntimeError("scene contains no labeled points")
     loss, d_labeled, table_grads = contrastive_loss(projected[labeled], scene.labels[labeled],
                                                     table)
     d_feats = np.zeros_like(projected)

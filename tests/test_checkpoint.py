@@ -95,6 +95,59 @@ class TestGuards:
         with pytest.raises(OSError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape", [[2**62], [2**63], [2**40, 2**30], [2**33]])
+    def test_shape_beyond_the_payload_is_truncation(self, tmp_path, shape):
+        # sizes are Python ints: [2**62] used to overflow the read, and
+        # [2**40, 2**30] to wrap np.prod to 0
+        encoder, bank, table = make_state(seed=5)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+        self.rewrite_header(path, lambda header: header["arrays"][0].update(shape=shape))
+        with pytest.raises(OSError, match=re.escape(
+                f"{path}: truncated array encoder.layers.0.weight")):
+            load_checkpoint(path)
+
+    def test_bytes_after_the_last_array(self, tmp_path):
+        encoder, bank, table = make_state(seed=5)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(OSError, match=re.escape(f"{path}: 4 bytes after the last array")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["encoder.layers.1.bias", "bank.prototypes",
+                                      "anchors.w_proj"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_array_named(self, tmp_path, name, value):
+        encoder, bank, table = make_state(seed=5)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+        with open(path, "rb") as fh:
+            magic, line, payload = fh.readline(), fh.readline(), fh.read()
+        offset = 0
+        for entry in json.loads(line)["arrays"]:
+            if entry["name"] == name:
+                break
+            offset += int(np.prod(entry["shape"])) * 8
+        payload = payload[:offset] + np.float64(value).tobytes() + payload[offset + 8:]
+        path.write_bytes(magic + line + payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: array {name} is not finite")):
+            load_checkpoint(path)
+
+    def test_arrays_out_of_order(self, tmp_path):
+        # each name keeps its shape, so every array would read the wrong bytes
+        encoder, bank, table = make_state(seed=5)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+
+        def swap(header):
+            arrays = header["arrays"]
+            arrays[4], arrays[5] = arrays[5], arrays[4]
+
+        self.rewrite_header(path, swap)
+        with pytest.raises(ValueError, match="in that order"):
+            load_checkpoint(path)
+
     def test_missing_array_named(self, tmp_path):
         # drop bank.w_key from both the header's directory and the payload
         encoder, bank, table = make_state(seed=8)

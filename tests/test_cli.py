@@ -485,6 +485,25 @@ class TestTrain:
         assert "config error: voxel size 1e-300 " in capsys.readouterr().err
         assert not (tmp_path / "run" / "checkpoint.bin").exists()
 
+    def test_scene_without_labeled_points_exit_2(self, toy_dir, trained_run, tmp_path, capsys):
+        # a background in every 5 cm cell that a model can reach, and overlap
+        # thinning that keeps no overlapped point: no model point survives.
+        # It used to end in a RuntimeError traceback, keeping loss.log
+        cells = np.stack(np.meshgrid(np.arange(64), np.arange(64), np.arange(-4, 32),
+                                     indexing="ij"), axis=-1).reshape(-1, 3)
+        scan = tmp_path / "dense.txt"
+        geometry.save_points(scan, geometry.PointCloud((cells + 0.5) * 0.05))
+        augment = json.loads((toy_dir / "manifest.json").read_text())["augment"]
+        manifest = write_manifest(toy_dir, tmp_path / "manifest.json", backgrounds=[str(scan)],
+                                  floor_z=0.0, augment={**augment, "overlap_keep_prob": 0.0})
+        cfg = write_train_config(toy_dir, tmp_path / "cfg.json", manifest,
+                                 encoder_widths=[4], prototypes=8)  # narrow: 147k voxels
+        out = tmp_path / "run"
+        assert run_cli(["train", "--config", cfg, "-o", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == ["config error: no labeled points to score"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("existed", [False, True])
     def test_late_config_error_leaves_no_run_files(self, toy_dir, trained_run, tmp_path, capsys,
                                                    existed):
@@ -840,6 +859,19 @@ class TestInferEval:
         assert_flag_rejected(["infer", "--checkpoint", trained_run / "checkpoint.bin",
                               "--scene", tmp_path / "absent.txt", "--temperature", temperature,
                               "-o", probs], "--temperature", capsys)
+        assert not probs.exists()
+        assert not (tmp_path / "probs.classes.txt").exists()
+
+    def test_overflowing_class_scores_exit_2(self, trained_run, tmp_path, capsys):
+        # a positive finite temperature whose scaled scores overflow; every
+        # row used to be written as nan
+        scene, probs = tmp_path / "scene.txt", tmp_path / "probs.txt"
+        scene.write_text("0 0 0\n0.1 0 0\n")
+        code = run_cli(["infer", "--checkpoint", trained_run / "checkpoint.bin",
+                        "--scene", scene, "--temperature", "5e-324", "-o", probs])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == ["config error: class scores are not finite at temperature 5e-324"]
         assert not probs.exists()
         assert not (tmp_path / "probs.classes.txt").exists()
 

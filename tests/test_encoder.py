@@ -314,8 +314,8 @@ class TestBlockPipeline:
             feats = reference_forward(self.grid(coords, feats), layer)
             if i < len(enc.layers) - 1:
                 feats = np.maximum(feats, 0.0)
+        assert np.array_equal(enc.forward_grid(self.grid(coords), readout=lambda b: b), feats)
         assert np.array_equal(enc.forward_grid(self.grid(coords)), feats)
-        assert np.array_equal(enc.forward_grid(self.grid(coords), cache=True), feats)
 
     @pytest.mark.parametrize("num_voxels", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
     def test_one_row_tail_joins_the_block_before(self, num_voxels):
@@ -424,20 +424,20 @@ class TestEncoderBackward:
     def test_backward_after_uncached_forward_grid_raises(self):
         enc = SparseEncoder.create(widths=(3, 4), seed=1)
         pc = PointCloud(np.random.default_rng(8).uniform(-0.2, 0.2, size=(12, 3)))
-        enc.forward(pc)  # a cached pass, then an inference pass that drops it
-        enc.forward_grid(enc.voxelize(pc))
+        enc.forward(pc)  # a cached pass, then a readout pass that drops it
+        enc.forward_grid(enc.voxelize(pc), readout=lambda b: b)
         with pytest.raises(RuntimeError):
             enc.backward(np.zeros((12, 4)))
 
     def test_cache_changes_neither_features_nor_gradients(self):
-        # the cached pass keeps every layer's input, the uncached pass none
+        # the whole pass keeps every layer's input, the readout pass none
         rng = np.random.default_rng(9)
         enc = SparseEncoder.create(widths=(5, 6, 4), seed=3, voxel_size=0.05)
         pc = PointCloud(rng.uniform(-0.2, 0.2, size=(40, 3)))
         upstream = rng.normal(size=(40, 4))
         grid = enc.voxelize(pc)
-        plain = enc.forward_grid(grid)
-        cached = enc.forward_grid(grid, cache=True)
+        plain = enc.forward_grid(grid, readout=lambda b: b)
+        cached = enc.forward_grid(grid)
         assert np.array_equal(plain, cached)
         grads = enc.backward(upstream)
         assert np.array_equal(enc.forward(pc), cached[grid.point_to_voxel])

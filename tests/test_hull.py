@@ -135,13 +135,13 @@ class TestBackward:
 
     def test_upstream_must_match_the_batch(self):
         bank = tiny_bank()
-        bank.project(np.zeros((1, 4)), cache=True)
+        bank.project(np.zeros((1, 4)))
         with pytest.raises(ValueError, match="shape"):
             bank.backward(np.zeros(4))
 
     def test_zero_upstream(self):
         bank = tiny_bank()
-        bank.project(np.random.default_rng(11).normal(size=(3, 4)), cache=True)
+        bank.project(np.random.default_rng(11).normal(size=(3, 4)))
         d_x, grads = bank.backward(np.zeros((3, 4)))
         assert np.all(d_x == 0.0)
         for g in grads.values():
@@ -150,7 +150,7 @@ class TestBackward:
     def test_zero_temperature_freezes_attention(self):
         bank = tiny_bank(lam=0.0)
         rng = np.random.default_rng(12)
-        bank.project(rng.normal(size=(2, 4)), cache=True)
+        bank.project(rng.normal(size=(2, 4)))
         _, grads = bank.backward(rng.normal(size=(2, 4)))
         assert np.all(grads["w_key"] == 0.0)
         assert np.all(grads["w_query"] == 0.0)
@@ -159,7 +159,7 @@ class TestBackward:
         bank = tiny_bank(k=7, d=4, d_a=2, seed=3)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 4))
-        bank.project(x, cache=True)
+        bank.project(x)
         d_x, grads = bank.backward(rng.normal(size=(5, 4)))
         assert d_x.shape == x.shape
         params = bank.parameters()
@@ -168,11 +168,12 @@ class TestBackward:
             assert grads[name].shape == p.shape and grads[name].dtype == p.dtype, name
 
     def test_centered_readout_has_no_backward(self):
-        # nothing trains through the centered readout, so it caches nothing
+        # nothing trains through the centered readout, so it drops what an
+        # uncentered call kept
         bank = tiny_bank()
         x = np.random.default_rng(5).normal(size=(3, 4))
-        with pytest.raises(ValueError, match="centered readout has no backward"):
-            bank.project(x, cache=True, centered=True)
+        bank.project(x)
+        bank.project(x, centered=True)
         with pytest.raises(RuntimeError, match="without a cached forward"):
             bank.backward(np.zeros((3, 4)))
 

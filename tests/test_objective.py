@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,23 @@ class TestClassProbs:
     def test_batches_only(self, shape):
         with pytest.raises(ValueError, match="batch"):
             class_probs(np.zeros(shape), identity_table(2, 3))
+
+    @pytest.mark.parametrize("feats, temperature", [
+        ([[1.0, 0.0, 0.0]], 5e-324), ([[1e300, 0.0, 0.0]], 1e-10),
+        ([[math.nan, 0.0, 0.0]], 1.0), ([[math.inf, 0.0, 0.0]], 1.0)])
+    def test_scores_must_be_finite(self, feats, temperature):
+        # an overflowing score used to make every probability nan
+        with pytest.raises(ValueError, match=f"^class scores are not finite at temperature "
+                                             f"{temperature}$"):
+            class_probs(np.array(feats), identity_table(2, 3), temperature=temperature)
+
+    def test_scores_further_apart_than_the_float_range(self):
+        # each score is finite, their difference is not: no warning, one-hot
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = class_probs(np.array([[1.0, -1.0, 0.0]]), identity_table(2, 3),
+                                temperature=1e-308)
+        assert probs.tolist() == [[1.0, 0.0]]
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, math.inf, math.nan])
     def test_temperature_must_be_positive_and_finite(self, temperature):
@@ -350,7 +368,7 @@ class TestSceneGradients:
         encoder = SparseEncoder.create(widths=(2, 3), voxel_size=0.1, seed=8)
         table = AnchorTable(["a", "b"], np.eye(2, 4), np.eye(4, 3))
         scene = PointCloud(np.zeros((3, 3)), np.full(3, -1))
-        with pytest.raises(RuntimeError, match="no labeled points"):
+        with pytest.raises(ValueError, match="no labeled points"):
             scene_gradients(scene, encoder, None, table)
 
 
