@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import _open_text, _parse_lines
+
 
 class MissingTokenError(ValueError):
     """A class name needs a token the embedding file does not provide."""
@@ -27,40 +29,24 @@ def _name_tokens(name: str) -> list:
     return tokens
 
 
+# An embedding row after its token: as many finite values as the first row kept
+_EMBEDDING = (lambda width: (width, 0) if width else None, "empty embedding vector",
+              "bad embedding row", "embedding not finite",
+              "{path} line {lineno}: embedding dimension is not the {width} of line {first}")
+
+
 def read_embedding_file(path, wanted: set) -> dict:
     """Scan a GloVe-style file for the wanted tokens; returns {token: vector}.
-
-    Only requested tokens are parsed; the first occurrence of a token wins.
-    A parsed vector not finite, or of another length than the first, is an error.
-    """
-    vectors: dict = {}
-    dim = None
-    remaining = set(wanted)
-    with open(path, "r", encoding="utf-8") as fh:
+    Only their rows are parsed, and the first occurrence of a token wins."""
+    kept = {}  # token -> (lineno, the values after it)
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            token = fields[0].lower()
-            if token not in remaining:
-                continue
-            try:
-                vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}: bad embedding row") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path} line {lineno}: embedding not finite")
-            if dim is None:
-                dim = len(vec)
-                if dim == 0:
-                    raise ValueError(f"{path} line {lineno}: empty embedding vector")
-            elif len(vec) != dim:
-                raise ValueError(f"{path} line {lineno}: dimension {len(vec)} != {dim}")
-            vectors[token] = vec
-            remaining.discard(token)
-            if not remaining:
-                break
-    return vectors
+            token, *values = line.split(maxsplit=1) or [""]
+            if token.lower() in wanted:
+                kept.setdefault(token.lower(), (lineno, "".join(values).strip()))
+                if len(kept) == len(wanted):
+                    break
+    return dict(zip(kept, _parse_lines(path, kept.values(), _EMBEDDING)[0]))
 
 
 class AnchorTable:

@@ -35,7 +35,7 @@ class Checkpoint:
 
 
 def _array_entry(name: str, arr: np.ndarray) -> dict:
-    return {"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)}
+    return {"name": name, "dtype": arr.dtype.newbyteorder("<").str, "shape": list(arr.shape)}
 
 
 def _named_arrays(encoder: SparseEncoder, bank: PrototypeBank | None,
@@ -122,6 +122,8 @@ def load_checkpoint(path) -> Checkpoint:
         for i, entry in enumerate(header["arrays"]):
             _parse(entry, _ARRAY_ENTRY_SCHEMA, f"{path}: checkpoint header arrays[{i}]")
             name, dtype, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
+            if dtype != dtype.newbyteorder("<"):  # the payload is little-endian
+                raise ValueError(f"{path}: array {name} has big-endian dtype {entry['dtype']!r}")
             nbytes = math.prod(shape) * dtype.itemsize  # Python ints: a huge shape cannot wrap
             if nbytes > left:
                 raise OSError(f"{path}: truncated array {name}")

@@ -35,8 +35,10 @@ class ConfigError(ValueError):
 
 
 def _load_json(path, where: str) -> dict:
+    from .geometry import _open_text
+
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{where}: invalid JSON in {path}: {exc}") from None
@@ -272,7 +274,9 @@ def load_train_config(path):
 
 
 def _read_class_list(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    from .geometry import _open_text
+
+    with _open_text(path) as fh:
         names = [line.strip() for line in fh if line.strip()]
     if not names:
         raise ConfigError(f"{path}: empty class list")

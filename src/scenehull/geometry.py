@@ -1,14 +1,17 @@
 """Triangle meshes, surface sampling, rigid point-cloud transforms and files.
 
-Meshes are read from ASCII OFF files; point clouds ("x y z" or "x y z label")
-and class probabilities share one plain-text row format, one row per line
-with one reader and one writer. All coordinates are meters.
+Meshes are ASCII OFF files; point clouds ("x y z" or "x y z label") and
+class probabilities are plain text, one row per line, with one reader and
+one writer. OFF vertex and face rows, point and probability rows, and the
+word-vector rows of anchors are parsed and checked by one line loop, which
+names the file and line of a bad row. All coordinates are meters.
 Every randomized operation takes a ``numpy.random.Generator`` and is a pure
 function of (inputs, generator state), so a fixed seed replays byte-identically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import warnings
@@ -29,14 +32,6 @@ CANDIDATES = 128
 # indices. Pair weights are computed PAIR_PART pairs at a time.
 MAX_SAMPLE_POINTS = (2**31 - 1) // OVERSAMPLE
 PAIR_PART = 65536
-
-
-class MeshFormatError(ValueError):
-    """Malformed OFF input; the message names the file and the 1-based line."""
-
-    def __init__(self, path, lineno, message):
-        self.path, self.lineno = path, lineno
-        super().__init__(f"{path}{'' if lineno is None else f' line {lineno}'}: {message}")
 
 
 class EmptyMeshError(ValueError):
@@ -119,6 +114,17 @@ class PointCloud:
 # Mesh, point-cloud and probability file formats
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _open_text(path):
+    """path opened as UTF-8 text; a byte that is not UTF-8 is a ValueError
+    naming the file (its position would count from the last read)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _meaningful_lines(text):
     """(lineno, stripped line) pairs, skipping blanks and '#' comments."""
     lines = ((i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1))
@@ -126,77 +132,54 @@ def _meaningful_lines(text):
 
 
 def load_mesh(path) -> TriangleMesh:
-    """Read an ASCII OFF mesh, dropping degenerate (zero-area) faces.
-
-    Raises MeshFormatError naming the file and line on malformed input and
-    EmptyMeshError when no valid face remains.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read an ASCII OFF mesh, dropping degenerate (zero-area) faces;
+    EmptyMeshError when no face remains."""
+    with _open_text(path) as fh:
         lines = list(_meaningful_lines(fh.read()))
     if not lines:
-        raise MeshFormatError(path, None, "empty OFF file")
+        raise ValueError(f"{path}: empty OFF file")
 
     lineno, header = lines[0]
-    cursor = 1
-    if header == "OFF":
-        if len(lines) < 2:
-            raise MeshFormatError(path, lineno, "missing counts line")
-        lineno, counts_line = lines[1]
-        cursor = 2
-    elif header.startswith("OFF"):
-        # Some exporters glue the counts onto the header line.
-        counts_line = header[3:].strip()
-    else:
-        raise MeshFormatError(path, lineno, f"expected OFF header, got {header!r}")
-
-    parts = counts_line.split()
-    if len(parts) < 2:
-        raise MeshFormatError(path, lineno, f"expected vertex/face counts, got {counts_line!r}")
-    try:
-        n_vertices, n_faces = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise MeshFormatError(path, lineno, f"non-integer counts {counts_line!r}") from None
+    if not header.startswith("OFF"):
+        raise ValueError(f"{path} line {lineno}: expected OFF header, got {header!r}")
+    cursor = 2 if header == "OFF" else 1  # some exporters glue the counts onto the header
+    lineno, counts = lines[1] if cursor == 2 and len(lines) > 1 else (lineno, header[3:])
+    n_vertices, n_faces = _parse_lines(path, [(lineno, counts)], _COUNTS)[1][0].tolist()
     if n_vertices < 0 or n_faces < 0:
-        raise MeshFormatError(path, lineno, f"negative counts {counts_line!r}")
-
+        raise ValueError(f"{path} line {lineno}: negative counts {counts!r}")
     if len(lines) < cursor + n_vertices + n_faces:
-        raise MeshFormatError(path, lines[-1][0], "file truncated")
+        raise ValueError(f"{path} line {lines[-1][0]}: file truncated")
 
-    vertices = np.empty((n_vertices, 3), dtype=np.float64)
-    for row in range(n_vertices):
-        lineno, line = lines[cursor + row]
-        fields = line.split()
-        if len(fields) < 3:
-            raise MeshFormatError(path, lineno, f"vertex needs 3 coordinates, got {line!r}")
-        try:
-            vertices[row] = [float(fields[0]), float(fields[1]), float(fields[2])]
-        except ValueError:
-            raise MeshFormatError(path, lineno, f"bad vertex {line!r}") from None
-    cursor += n_vertices
-
-    faces = np.empty((n_faces, 3), dtype=np.int64)
-    for row in range(n_faces):
-        lineno, line = lines[cursor + row]
-        fields = line.split()
-        try:
-            arity = int(fields[0])
-            idx = [int(f) for f in fields[1:1 + arity]]
-        except (ValueError, IndexError):
-            raise MeshFormatError(path, lineno, f"bad face {line!r}") from None
-        if arity != 3 or len(idx) != 3:
-            raise MeshFormatError(path, lineno, f"only triangles supported, got arity {arity}")
-        if min(idx) < 0 or max(idx) >= n_vertices:
-            raise MeshFormatError(path, lineno, f"face index out of range in {line!r}")
-        faces[row] = idx
+    vertices = _off_rows(path, lines[cursor:cursor + n_vertices], _VERTICES, np.float64, 3)
+    face_lines = lines[cursor + n_vertices:cursor + n_vertices + n_faces]
+    rows = _off_rows(path, face_lines, _FACES, np.int64, 4)
+    faces = rows[:, 1:].copy()
+    bad = (rows[:, 0] != 3) | (faces < 0).any(axis=1) | (faces >= n_vertices).any(axis=1)
+    if bad.any():
+        lineno, line = face_lines[bad.argmax()]
+        raise ValueError(f"{path} line {lineno}: not a triangle or an index out of range: {line!r}")
 
     mesh = TriangleMesh(vertices, faces)
-    areas = triangle_areas(mesh)
-    keep = areas > DEGENERATE_AREA
+    keep = triangle_areas(mesh) > DEGENERATE_AREA
     if not keep.any():
         raise EmptyMeshError(f"{path}: no non-degenerate faces")
-    if not keep.all():
-        mesh = TriangleMesh(vertices, faces[keep])
-    return mesh
+    return mesh if keep.all() else TriangleMesh(vertices, faces[keep])
+
+
+def _off_rows(path, lines, layout, dtype, width):
+    """The first width fields of each (lineno, line) as dtype, by one
+    np.loadtxt; the line loop names a row it refuses or one not finite."""
+    try:
+        with warnings.catch_warnings():  # an empty section
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt([line for _, line in lines], dtype, comments=None,
+                              usecols=range(width), ndmin=2)
+        if np.isfinite(rows).all():
+            return rows
+    except ValueError:
+        pass
+    floats, ints = _parse_lines(path, lines, layout)
+    return (ints if dtype is np.int64 else floats).reshape(-1, width)
 
 
 def save_mesh(path, mesh: TriangleMesh) -> None:
@@ -212,13 +195,21 @@ def save_mesh(path, mesh: TriangleMesh) -> None:
 _LOOP_ONLY = "#\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _PART = 4096  # rows parsed or formatted at a time
 
-# A row layout: field count -> (float, int64) column counts, or None where no
-# row may have that many; then the line loop's error words, the last formatted
-# with path, the first row's width and line, and the lineno of another width.
+# A row layout: field count -> (float, int64) counts, or None where no row may
+# have that many; then the line loop's error words, the last formatted with
+# path, the first row's counted width and line, and a row counted otherwise.
 _POINTS = ({3: (3, 0), 4: (3, 1)}.get, "expected 3 or 4 fields", "bad point",
            "coordinate not finite", "{path}: some points carry labels and some do not")
 _PROBABILITIES = (lambda width: (width, 0), None, "bad probability row", "probability not finite",
                   "{path} line {lineno}: expected {width} fields, as on line {first}")
+# OFF rows: the vertex and face counts, 3 coordinates, a face's arity and 3
+# indices; later fields (the edge count, a face colour) are skipped
+_COUNTS = (lambda width: (0, 2) if width >= 2 else None, "expected vertex and face counts",
+           "non-integer counts", None, None)
+_VERTICES = (lambda width: (3, 0) if width >= 3 else None, "vertex needs 3 coordinates",
+             "bad vertex", "vertex not finite", None)
+_FACES = (lambda width: (0, 4) if width >= 4 else None, "face needs an arity and 3 indices",
+          "bad face", None, None)
 
 
 def _read_rows(path, layout):
@@ -231,62 +222,59 @@ def _read_rows(path, layout):
     float that is not finite, goes through the line loop, which names the
     first bad line. Both read the same numbers bit for bit.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            plain, lines = True, 1
-            for chunk in iter(lambda: fh.read(1 << 16), ""):
-                plain = plain and not any(c in chunk for c in _LOOP_ONLY)
-                lines += chunk.count("\n")
+    with _open_text(path) as fh:
+        plain, lines = True, 1
+        for chunk in iter(lambda: fh.read(1 << 16), ""):
+            plain = plain and not any(c in chunk for c in _LOOP_ONLY)
+            lines += chunk.count("\n")
+        fh.seek(0)
+        first = next((line for line in fh if not line.isspace()), None)
+        columns = layout[0](len(first.split())) if first else None
+        if plain and columns:
+            n_float, n_int = columns
+            dtype = [("f", "f8", (n_float,))] + ([("i", "i8", (n_int,))] if n_int else [])
+            floats, ints, n = np.empty((lines, n_float)), np.empty((lines, n_int), np.int64), 0
             fh.seek(0)
-            first = next((line for line in fh if not line.isspace()), None)
-            columns = layout[0](len(first.split())) if first else None
-            if plain and columns:
-                n_float, n_int = columns
-                dtype = [("f", "f8", (n_float,))] + ([("i", "i8", (n_int,))] if n_int else [])
-                floats, ints, n = np.empty((lines, n_float)), np.empty((lines, n_int), np.int64), 0
-                fh.seek(0)
-                try:
-                    with warnings.catch_warnings():  # a run of blank lines holds no data
-                        warnings.simplefilter("ignore", UserWarning)
-                        for part in iter(lambda: list(itertools.islice(fh, _PART)), []):
-                            rows = np.loadtxt(part, dtype=dtype, comments=None, ndmin=1)
-                            for name, out in zip(rows.dtype.names, (floats, ints)):
-                                out[n:n + len(rows)] = rows[name]
-                            n += len(rows)
-                    if np.isfinite(floats[:n]).all():
-                        return floats[:n], ints[:n]
-                except ValueError:  # the line loop names the line
-                    pass
-            fh.seek(0)
-            text = fh.read()
-    except UnicodeDecodeError as exc:  # its position counts from a part, not the file
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return _parse_lines(path, text, layout)
+            try:
+                with warnings.catch_warnings():  # a run of blank lines holds no data
+                    warnings.simplefilter("ignore", UserWarning)
+                    for part in iter(lambda: list(itertools.islice(fh, _PART)), []):
+                        rows = np.loadtxt(part, dtype=dtype, comments=None, ndmin=1)
+                        for name, out in zip(rows.dtype.names, (floats, ints)):
+                            out[n:n + len(rows)] = rows[name]
+                        n += len(rows)
+                if np.isfinite(floats[:n]).all():
+                    return floats[:n], ints[:n]
+            except ValueError:  # the line loop names the line
+                pass
+        fh.seek(0)
+        return _parse_lines(path, _meaningful_lines(fh.read()), layout)
 
 
-def _parse_lines(path, text, layout):
-    """The line loop: blank and '#' lines skipped, errors name the line."""
+def _parse_lines(path, lines, layout):
+    """The line loop over (lineno, line) pairs: the first fields of a row, as
+    many as the layout counts, are parsed, and errors name the line."""
     columns, width_error, bad, not_finite, mixed = layout
-    floats, ints, widths = [], [], []
-    for lineno, line in _meaningful_lines(text):
+    floats, ints, counted = [], [], []
+    for lineno, line in lines:
         fields = line.split()
         counts = columns(len(fields))
         if counts is None:
             raise ValueError(f"{path} line {lineno}: {width_error}")
         try:
             floats.append([float(f) for f in fields[:counts[0]]])
-            ints.append([np.int64(int(f)) for f in fields[counts[0]:]])
+            ints.append([np.int64(int(f)) for f in fields[counts[0]:sum(counts)]])
         except (ValueError, OverflowError):  # not a number, or an int wider than int64
             raise ValueError(f"{path} line {lineno}: {bad} {line!r}") from None
         if not all(map(math.isfinite, floats[-1])):
             raise ValueError(f"{path} line {lineno}: {not_finite}: {line!r}")
-        widths.append((len(fields), lineno))
-    if not widths:
+        counted.append((counts, lineno))
+    if not counted:
         return np.empty((0, 0)), np.empty((0, 0))
-    for width, lineno in widths:
-        if width != widths[0][0]:
-            raise ValueError(mixed.format(path=path, lineno=lineno, width=widths[0][0],
-                                          first=widths[0][1]))
+    for counts, lineno in counted:
+        if counts != counted[0][0]:
+            raise ValueError(mixed.format(path=path, lineno=lineno, width=sum(counted[0][0]),
+                                          first=counted[0][1]))
     return np.array(floats), np.array(ints, np.int64)
 
 

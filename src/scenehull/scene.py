@@ -36,8 +36,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not (0.0 < self.scale_min <= self.scale_max):
             raise ValueError("need 0 < scale_min <= scale_max")
-        if not (1 <= self.crop_anchor_min <= self.crop_anchor_max):
-            raise ValueError("need 1 <= crop_anchor_min <= crop_anchor_max")
+        if not (2 <= self.crop_anchor_min <= self.crop_anchor_max):  # 1 would drop the whole model
+            raise ValueError("need 2 <= crop_anchor_min <= crop_anchor_max")
         if not (0.0 <= self.crop_prob <= 1.0):
             raise ValueError("crop_prob must be in [0, 1]")
         if not (0.0 <= self.overlap_keep_prob <= 1.0):

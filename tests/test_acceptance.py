@@ -5,7 +5,10 @@ line per criterion. Budget is a single CPU core and roughly ten minutes;
 everything is seeded, so reruns reproduce the same numbers exactly.
 """
 
+import functools
 import json
+import multiprocessing
+import os
 import time
 from pathlib import Path
 
@@ -308,15 +311,27 @@ def _train_arm(models, seed, use_dcr, cfg_json):
     return table, encoder, bank
 
 
+def _arm_amap(models, cfg_json, job):
+    """Shifted AmAP of the arm that job = (seed, use_dcr) trains."""
+    seed, use_dcr = job
+    return _shifted_amap(models, *_train_arm(models, seed, use_dcr, cfg_json), seed)
+
+
 @pytest.mark.slow
 def test_criterion_7_dcr_ablation_direction(toy_dir, toy_models):
     cfg_json = json.loads((toy_dir / "train_config.json").read_text())
-    with_dcr, without_dcr = [], []
-    for seed in range(5):
-        table, encoder, bank = _train_arm(toy_models, seed, True, cfg_json)
-        with_dcr.append(_shifted_amap(toy_models, table, encoder, bank, seed))
-        table, encoder, bank = _train_arm(toy_models, seed, False, cfg_json)
-        without_dcr.append(_shifted_amap(toy_models, table, encoder, bank, seed))
+    jobs = [(seed, use_dcr) for seed in range(5) for use_dcr in (True, False)]
+    arm = functools.partial(_arm_amap, toy_models, cfg_json)
+    # each arm is seeded and single-threaded (conftest pins BLAS to one
+    # thread, and forked workers inherit it), so a worker per CPU returns
+    # the same floats as a serial run; map keeps the job order
+    workers = min(len(os.sched_getaffinity(0)), len(jobs))
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            amaps = pool.map(arm, jobs, chunksize=1)
+    else:
+        amaps = list(map(arm, jobs))
+    with_dcr, without_dcr = amaps[0::2], amaps[1::2]
     med_with = float(np.median(with_dcr))
     med_without = float(np.median(without_dcr))
     ok = med_with >= med_without

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from scenehull.anchors import AnchorTable, MissingTokenError, load_embeddings
+from scenehull.anchors import AnchorTable, MissingTokenError, load_embeddings, read_embedding_file
 from scenehull.toydata import write_embeddings
 
 
@@ -45,7 +45,8 @@ class TestLoadEmbeddings:
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("chair 1 2 3\ntable 4 5\n")
-        with pytest.raises(ValueError, match="dimension"):
+        message = f"{path} line 2: embedding dimension is not the 3 of line 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_embeddings(path, ["chair", "table"])
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e500"])
@@ -53,8 +54,26 @@ class TestLoadEmbeddings:
         # a nan vector once made every zero-shot probability nan
         path = tmp_path / "emb.txt"
         path.write_text(f"chair 1 2 3\n\ntable 4 {bad} 6\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path} line 3: embedding not finite')}$"):
+        message = f"{path} line 3: embedding not finite: '4 {bad} 6'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_embeddings(path, ["chair", "table"])
+
+    @pytest.mark.parametrize("row, message", [
+        ("table", "empty embedding vector"), ("table 4 x 6", "bad embedding row '4 x 6'")])
+    def test_bad_row_names_the_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"chair 1 2 3\nsofa x\n{row}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path} line 3: {message}')}$"):
+            load_embeddings(path, ["chair", "table"])
+
+    def test_only_wanted_rows_parsed_first_wins(self, tmp_path):
+        # rows of other tokens are never parsed, nor a second row of a token
+        path = tmp_path / "emb.txt"
+        path.write_text("sofa x y\nChair\t1 2\u20283\nchair nan\ntable 4 5 6 \nlamp\n")
+        vectors = read_embedding_file(path, {"chair", "table"})
+        assert list(vectors) == ["chair", "table"]
+        np.testing.assert_array_equal(vectors["chair"], [1, 2, 3])
+        np.testing.assert_array_equal(vectors["table"], [4, 5, 6])
 
     def test_identity_projection_when_dims_match(self, tmp_path):
         path = write_file(tmp_path / "emb.txt", {"a": [1.0, 2.0], "b": [3.0, 4.0]})

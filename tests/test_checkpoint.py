@@ -134,6 +134,26 @@ class TestGuards:
         with pytest.raises(ValueError, match=re.escape(f"{path}: array {name} is not finite")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dtype", [">f8", ">f4"])
+    def test_big_endian_dtype_named(self, tmp_path, dtype):
+        # the payload is little-endian: >f8 once loaded it byte-swapped
+        encoder, bank, table = make_state(seed=5)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+        self.rewrite_header(path, lambda header: self.entry(header, "bank.w_key").update(
+            dtype=dtype))
+        message = f"{path}: array bank.w_key has big-endian dtype '{dtype}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    def test_header_names_little_endian_dtypes(self, tmp_path):
+        encoder, bank, table = make_state(seed=5)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, encoder, bank, table)
+        with open(path, "rb") as fh:
+            fh.readline()
+            assert {e["dtype"] for e in json.loads(fh.readline())["arrays"]} == {"<f8"}
+
     def test_arrays_out_of_order(self, tmp_path):
         # each name keeps its shape, so every array would read the wrong bytes
         encoder, bank, table = make_state(seed=5)

@@ -20,7 +20,7 @@ from scenehull.hull import PrototypeBank
 CASES = 200
 SHAPES = [[0], [], [1], [0, 5], [2**62], [2**63], [2**64], [2**33], [2**40, 2**30],
           [2**31, 2**31, 4], [3, 2**62], [27, 0, 5]]
-DTYPES = ["<f4", "<f2", "float32", "<i8", "|u1", "<c16", "zz", "", "<U8"]
+DTYPES = ["<f4", "<f2", "float32", "<i8", "|u1", "<c16", "zz", "", "<U8", ">f8", ">f4"]
 
 
 @pytest.fixture(scope="module")

@@ -102,6 +102,17 @@ class TestSample:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["1 0 nan", "inf 0 0", "0 1e400 0"])
+    def test_non_finite_vertex_config_error(self, tmp_path, capsys, bad):
+        # it used to exit 2 with "vertices must be finite", naming no file
+        mesh = tmp_path / "bad.off"
+        mesh.write_text(f"OFF\n3 1 0\n0 0 0\n{bad}\n0 1 0\n3 0 1 2\n")
+        out = tmp_path / "pts.txt"
+        assert run_cli(["sample", mesh, "-n", 10, "-o", out]) == 2
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            f"config error: {mesh} line 4: vertex not finite: {bad!r}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [("-n", 0), ("-n", "x"), ("--seed", -1)])
     def test_out_of_range_flag_exit_2(self, toy_dir, tmp_path, capsys, flag, value):
         out = tmp_path / "pts.txt"
@@ -133,7 +144,43 @@ class TestSample:
         assert "Traceback" not in err
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 in a text input exits 2 naming the file; it
+    used to name only the byte's position."""
+
+    @pytest.mark.parametrize("name", ["sphere.off", "manifest.json", "cfg.json", "classes.txt",
+                                      "embeddings.txt"])
+    def test_exit_2_naming_the_file(self, toy_dir, tmp_path, capsys, name):
+        for copied in ("sphere.off", "classes.txt", "embeddings.txt"):
+            (tmp_path / copied).write_bytes((toy_dir / copied).read_bytes())
+        manifest = write_manifest(toy_dir, tmp_path / "manifest.json")
+        cfg = write_train_config(toy_dir, tmp_path / "cfg.json", manifest,
+                                 classes=str(tmp_path / "classes.txt"),
+                                 embeddings=str(tmp_path / "embeddings.txt"))
+        bad, out = tmp_path / name, tmp_path / "out"
+        text = bad.read_bytes()
+        bad.write_bytes(text[:40] + b"\xff" + text[40:])
+        args = {"sphere.off": ["sample", bad, "-n", 10, "-o", out],
+                "manifest.json": ["simulate", "--manifest", bad, "-o", out]}.get(
+                    name, ["train", "--config", cfg, "-o", out])
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err.splitlines()  # the config line, when it comes first
+        assert len(err) <= 2 and err[-1].startswith(f"config error: {bad}: not UTF-8 text (")
+        assert not out.exists()
+
+
 class TestSimulate:
+    def test_one_crop_anchor_rejected_before_sampling(self, toy_dir, tmp_path, capsys):
+        # one anchor drops the whole model: simulate once exited 2 with
+        # "cannot place an empty model", naming no key
+        manifest = write_manifest(toy_dir, tmp_path / "m.json",
+                                  augment={"crop_anchor_min": 1, "crop_anchor_max": 1})
+        out = tmp_path / "run"
+        assert run_cli(["simulate", "--manifest", manifest, "-o", out]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: manifest.augment: need 2 <= crop_anchor_min <= crop_anchor_max"]
+        assert not out.exists()
+
     def test_writes_scenes_and_sidecars(self, toy_dir, tmp_path):
         out = tmp_path / "run"
         code = run_cli(["simulate", "--manifest", toy_dir / "manifest.json",

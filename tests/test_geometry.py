@@ -14,7 +14,6 @@ from scipy.spatial import cKDTree
 from scenehull import geometry
 from scenehull.geometry import (
     EmptyMeshError,
-    MeshFormatError,
     PointCloud,
     TriangleMesh,
     area_weighted_sample,
@@ -77,7 +76,7 @@ class TestLoadMesh:
     def test_face_index_out_of_range(self, tmp_path):
         path = tmp_path / "bad.off"
         path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
-        with pytest.raises(MeshFormatError, match="out of range"):
+        with pytest.raises(ValueError, match="out of range"):
             load_mesh(path)
 
     def test_degenerate_face_dropped(self, tmp_path):
@@ -103,13 +102,13 @@ class TestLoadMesh:
     def test_not_off(self, tmp_path):
         path = tmp_path / "nope.off"
         path.write_text("PLY\n")
-        with pytest.raises(MeshFormatError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1"):
             load_mesh(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.off"
         path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n")
-        with pytest.raises(MeshFormatError, match="truncated"):
+        with pytest.raises(ValueError, match="truncated"):
             load_mesh(path)
 
     @pytest.mark.parametrize("counts", ["-1 1 0", "3 -2 0"])
@@ -117,12 +116,72 @@ class TestLoadMesh:
         path = tmp_path / "neg.off"
         path.write_text(f"OFF\n{counts}\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
         message = f"{path} line 2: negative counts '{counts}'"
-        with pytest.raises(MeshFormatError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_mesh(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_mesh(tmp_path / "absent.off")
+
+    @pytest.mark.parametrize("bad", ["1 0 nan", "inf 0 0", "0 1e400 0"])
+    def test_non_finite_vertex_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "bad.off"
+        path.write_text(f"OFF\n3 1 0\n0 0 0\n# a comment\n{bad}\n0 1 0\n3 0 1 2\n")
+        message = f"{path} line 5: vertex not finite: {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1 0", "vertex needs 3 coordinates"), ("1 0 x", "bad vertex '1 0 x'"),
+        ("1 0 0_", "bad vertex '1 0 0_'")])
+    def test_bad_vertex_names_the_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.off"
+        path.write_text(f"OFF\n3 1 0\n0 0 0\n{row}\n0 1 0\n3 0 1 2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path} line 4: {message}')}$"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("4 0 1 2 3", "not a triangle or an index out of range: '4 0 1 2 3'"),
+        ("3 0 1 4", "not a triangle or an index out of range: '3 0 1 4'"),
+        ("3 0 -1 2", "not a triangle or an index out of range: '3 0 -1 2'"),
+        ("3 0 1", "face needs an arity and 3 indices"), ("3 0 1 2.0", "bad face '3 0 1 2.0'"),
+        ("3 0 1 99999999999999999999", "bad face '3 0 1 99999999999999999999'")])
+    def test_bad_face_names_the_line(self, tmp_path, row, message):
+        # the first bad face is named, not a later one
+        path = tmp_path / "bad.off"
+        path.write_text(f"OFF\n4 4 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n{row}\n"
+                        "4 0 1 2 3\n3 0 1 9\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path} line 8: {message}')}$"):
+            load_mesh(path)
+
+    def test_trailing_fields_skipped(self, tmp_path):
+        # an OFF face colour, and anything after a vertex's coordinates
+        plain, coloured = tmp_path / "plain.off", tmp_path / "coloured.off"
+        plain.write_text(CUBE_OFF)
+        lines = CUBE_OFF.splitlines()
+        lines[2:10] = [f"{line} 0.5" for line in lines[2:10]]
+        lines[10:] = [f"{line} 255 0 0 # red" for line in lines[10:]]
+        coloured.write_text("\n".join(lines) + "\n")
+        a, b = load_mesh(plain), load_mesh(coloured)
+        assert a.vertices.tobytes() == b.vertices.tobytes()
+        assert a.faces.tobytes() == b.faces.tobytes()
+
+    @pytest.mark.parametrize("name", TOY_CLASSES)
+    def test_matches_the_line_loop(self, tmp_path, name):
+        """Each mesh reads the same arrays as a float() and int() per field
+        of each line, with and without face colours and odd separators."""
+        mesh = toy_mesh(name)
+        path = tmp_path / f"{name}.off"
+        save_mesh(path, mesh)
+        text = path.read_text()
+        for variant in (text, text.replace(" ", "\t"), text.replace(" ", "\xa0"),
+                        "".join(line + (" 1 2 3\n" if line.startswith("3 ") else "\n")
+                                for line in text.splitlines())):
+            path.write_text(variant)
+            back, reference = load_mesh(path), line_loop_load_mesh(path)
+            assert back.vertices.dtype == np.float64 and back.faces.dtype == np.int64
+            assert back.vertices.tobytes() == reference.vertices.tobytes()
+            assert back.faces.tobytes() == reference.faces.tobytes()
 
 
 class TestSurfaceArea:
@@ -484,6 +543,18 @@ class TestPointCloudType:
         back = load_points(path)
         assert back.labels is None
         np.testing.assert_array_equal(back.positions, pc.positions)
+
+
+def line_loop_load_mesh(path) -> TriangleMesh:
+    """An OFF file read line by line, with one float() or int() per field,
+    for a well-formed mesh with no degenerate face."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line.split() for _, line in geometry._meaningful_lines(fh.read())]
+    n_vertices, n_faces = int(lines[1][0]), int(lines[1][1])
+    vertices = [[float(f) for f in fields[:3]] for fields in lines[2:2 + n_vertices]]
+    faces = [[int(f) for f in fields[1:4]] for fields in lines[2 + n_vertices:]]
+    assert len(faces) == n_faces
+    return TriangleMesh(np.array(vertices), np.array(faces))
 
 
 def line_loop_load_points(path) -> PointCloud:

@@ -36,6 +36,12 @@ class TestAugmentConfig:
         with pytest.raises(ValueError):
             AugmentConfig(crop_anchor_min=3, crop_anchor_max=2)
 
+    @pytest.mark.parametrize("low, high", [(1, 1), (1, 5), (0, 3)])
+    def test_one_anchor_rejected(self, low, high):
+        # with one anchor its cluster is the whole model, and the crop drops it
+        with pytest.raises(ValueError, match="need 2 <= crop_anchor_min <= crop_anchor_max"):
+            AugmentConfig(crop_anchor_min=low, crop_anchor_max=high)
+
 
 class TestAnchorCrop:
     def test_two_points_two_anchors(self):
