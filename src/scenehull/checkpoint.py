@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,36 +19,19 @@ from .cli import (_BOOL, _NON_NEGATIVE_INT, _NUMBER, _OBJECT, _OBJECT_LIST, _POS
                   _POSITIVE_INT, _REQUIRED, _STRING, _STRING_LIST, _parse)
 from .encoder import NUM_OFFSETS, ConvLayer, SparseEncoder
 from .hull import PrototypeBank
-from .objective import _prefixed
+from .objective import SceneModel
 
 MAGIC = b"SCENEHULL-CKPT\n"
 FORMAT_VERSION = 1
-
-
-@dataclass
-class Checkpoint:
-    encoder: SparseEncoder
-    bank: PrototypeBank | None
-    table: AnchorTable
-    meta: dict
 
 
 def _array_entry(name: str, arr: np.ndarray) -> dict:
     return {"name": name, "dtype": arr.dtype.newbyteorder("<").str, "shape": list(arr.shape)}
 
 
-def _named_arrays(encoder: SparseEncoder, bank: PrototypeBank | None,
-                  table: AnchorTable) -> dict:
-    """Every array a checkpoint holds, by full name, in payload order; the
-    frozen embeddings go ahead of the trained projection."""
-    return _prefixed(encoder=encoder.parameters(),
-                     bank=None if bank is None else bank.parameters(),
-                     anchors={"embeddings": table.embeddings, **table.parameters()})
-
-
-def save_checkpoint(path, encoder: SparseEncoder, bank: PrototypeBank | None,
-                    table: AnchorTable, meta: dict | None = None) -> None:
-    arrays = _named_arrays(encoder, bank, table)
+def save_checkpoint(path, model: SceneModel, meta: dict | None = None) -> None:
+    arrays = model.arrays()
+    encoder, bank, table = model.encoder, model.bank, model.table
 
     header = {
         "format": FORMAT_VERSION,
@@ -100,7 +82,8 @@ _ARRAY_ENTRY_SCHEMA = {
 }
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path) -> tuple:
+    """(model, meta) from a checkpoint that save_checkpoint wrote."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -153,25 +136,26 @@ def load_checkpoint(path) -> Checkpoint:
     encoder = SparseEncoder(layers, voxel_size=header["encoder"]["voxel_size"])
     dim = encoder.feature_dim
 
-    bank = None
     if header["bank"] is not None:
         w_key = array("bank.w_key", dim, None)
-        bank = PrototypeBank(
-            array("bank.prototypes", None, dim),
-            w_key,
-            array("bank.w_query", *w_key.shape),
-            header["bank"]["inv_temperature"],
-        )
+        bank_arrays = (array("bank.prototypes", None, dim), w_key,
+                       array("bank.w_query", *w_key.shape))
     class_names = header["anchors"]["class_names"]
     embeddings = array("anchors.embeddings", len(class_names), None)
-    table = AnchorTable(
-        class_names,
-        embeddings,
-        array("anchors.w_proj", embeddings.shape[1], dim),
-        normalize=header["anchors"]["normalize"],
-    )
+    w_proj = array("anchors.w_proj", embeddings.shape[1], dim)
+    # header values of the right type may still be refused here, such as a
+    # negative inverse temperature or a repeated class name
+    try:
+        model = SceneModel(
+            encoder,
+            None if header["bank"] is None
+            else PrototypeBank(*bank_arrays, header["bank"]["inv_temperature"]),
+            AnchorTable(class_names, embeddings, w_proj, normalize=header["anchors"]["normalize"]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     # a payload read in another order would load each array from the wrong bytes
-    expected = list(_named_arrays(encoder, bank, table))
+    expected = list(model.arrays())
     if list(arrays) != expected:
         raise ValueError(f"{path}: arrays {list(arrays)} are not {expected} in that order")
-    return Checkpoint(encoder=encoder, bank=bank, table=table, meta=header["meta"])
+    return model, header["meta"]

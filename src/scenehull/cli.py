@@ -350,6 +350,7 @@ def _build_components(cfg, num_classes_embedding_path, class_names):
     from .anchors import load_embeddings
     from .encoder import SparseEncoder
     from .hull import PrototypeBank
+    from .objective import SceneModel
 
     dtype = np.float64 if cfg["precision"] == "float64" else np.float32
     encoder = SparseEncoder.create(
@@ -368,7 +369,7 @@ def _build_components(cfg, num_classes_embedding_path, class_names):
         num_classes_embedding_path, class_names, feature_dim=encoder.feature_dim,
         seed=cfg["seed"] + 2, dtype=dtype, normalize=cfg["normalize_anchors"],
     )
-    return encoder, bank, table
+    return SceneModel(encoder, bank, table)
 
 
 def cmd_train(args) -> int:
@@ -393,7 +394,7 @@ def cmd_train(args) -> int:
     manifest = load_manifest(base / cfg["manifest"])
     points = cfg.get("points_per_model", manifest["points_per_model"])
     class_names = _read_class_list(base / cfg["classes"])
-    encoder, bank, table = _build_components(cfg, base / cfg["embeddings"], class_names)
+    model = _build_components(cfg, base / cfg["embeddings"], class_names)
     models, _ = _manifest_models(manifest, points, cfg["seed"])
 
     # a rejected config leaves no run directory behind; a divergence keeps
@@ -402,11 +403,12 @@ def cmd_train(args) -> int:
         _write_json(path("resolved_config.json"), resolved)
         with open(path("loss.log"), "w", encoding="utf-8") as log:
             losses = train(
-                models, table, encoder, bank, train_cfg, augment=manifest["_augment"],
-                xy_bounds=manifest["_bounds"], floor_z=manifest["floor_z"],
-                floor_percentile=manifest["floor_percentile"], log_file=log,
+                models, model.table, model.encoder, model.bank, train_cfg,
+                augment=manifest["_augment"], xy_bounds=manifest["_bounds"],
+                floor_z=manifest["floor_z"], floor_percentile=manifest["floor_percentile"],
+                log_file=log,
             )
-        save_checkpoint(path("checkpoint.bin"), encoder, bank, table,
+        save_checkpoint(path("checkpoint.bin"), model,
                         meta={"train_config": {k: v for k, v in resolved.items()
                                                if k != "out"}})
     if losses:
@@ -421,7 +423,6 @@ def cmd_infer(args) -> int:
     from . import geometry
     from .anchors import class_vectors
     from .checkpoint import load_checkpoint
-    from .objective import infer_voxels
 
     resolved = {"checkpoint": str(args.checkpoint), "scene": str(args.scene),
                 "out": str(args.out), "temperature": args.temperature,
@@ -431,23 +432,21 @@ def cmd_infer(args) -> int:
     if args.extend_classes and not args.embeddings:
         raise ConfigError("--extend-classes requires --embeddings")
 
-    ckpt = load_checkpoint(args.checkpoint)
-    table = ckpt.table
+    model, _ = load_checkpoint(args.checkpoint)
     if args.extend_classes:
         new_names = [n for n in args.extend_classes.split(",") if n]
         # add_class rejects a vector whose dimension differs from the table's
         for name, vector in zip(new_names, class_vectors(args.embeddings, new_names)):
-            table.add_class(name, vector)
+            model.table.add_class(name, vector)
 
     cloud = geometry.load_points(args.scene)
     if len(cloud) == 0:
         raise ConfigError(f"scene {args.scene}: no points")
-    probs, point_to_voxel = infer_voxels(cloud, ckpt.encoder, ckpt.bank, table,
-                                         temperature=args.temperature)
+    probs, point_to_voxel = model.infer_voxels(cloud, temperature=args.temperature)
     geometry.save_probabilities(args.out, probs, order=point_to_voxel)
     classes_path = Path(args.out).with_suffix(".classes.txt")
     with open(classes_path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{name}\n" for name in table.class_names))
+        fh.write("".join(f"{name}\n" for name in model.table.class_names))
     print(f"wrote {len(point_to_voxel)}x{probs.shape[1]} probabilities to {args.out}")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ from .encoder import (OFFSETS, ConvLayer, SparseEncoder, SparseFeatureGrid,
                       sparse_conv_forward, voxelize)
 from .geometry import PointCloud
 from .hull import PrototypeBank
-from .objective import _prefixed, contrastive_loss, scene_gradients
+from .objective import SceneModel, contrastive_loss
 
 RTOL = 1e-4
 ATOL = 1e-8
@@ -130,8 +130,8 @@ def check_loss(seed: int) -> list:
 
 
 def check_end_to_end(seed: int) -> list:
-    """The gradients that objective.scene_gradients, the step train runs,
-    gives through encoder, hull projection and anchors, against central
+    """The gradients that SceneModel.gradients, the step train runs, gives
+    through encoder, hull projection and anchors, against central
     differences of the same loss."""
     rng = np.random.default_rng(seed)
     encoder = SparseEncoder.create(widths=(2, 3), voxel_size=0.1, seed=seed)
@@ -152,10 +152,9 @@ def check_end_to_end(seed: int) -> list:
         projected = bank.project(feats)
         return contrastive_loss(projected, labels, table)[0]
 
-    params = _prefixed(anchors=table.parameters(), bank=bank.parameters(),
-                       encoder=encoder.parameters())
-    _, grads = scene_gradients(PointCloud(cloud.positions, labels), encoder, bank, table)
-    return _compare_all("e2e", scalar, params, grads)
+    model = SceneModel(encoder, bank, table)
+    _, grads = model.gradients(PointCloud(cloud.positions, labels))
+    return _compare_all("e2e", scalar, model.parameters(), grads)
 
 
 def dense_conv_reference(coords: np.ndarray, feats: np.ndarray, layer: ConvLayer) -> np.ndarray:

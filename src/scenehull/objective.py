@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchors import AnchorTable
-from .encoder import SparseEncoder
+from .encoder import BLOCK_ROWS, SparseEncoder
 from .geometry import PointCloud
 from .hull import PrototypeBank, softmax
 from .scene import AugmentConfig, simulate_scene
@@ -200,31 +200,81 @@ def compose_step_scene(
     )
 
 
-def _check_parts(encoder: SparseEncoder, bank: PrototypeBank | None, table: AnchorTable) -> None:
-    """ValueError unless the bank, if any, and the anchors read the encoder's width."""
-    if bank is not None and bank.feature_dim != encoder.feature_dim:
-        raise ValueError("bank feature dim does not match encoder output")
-    if table.feature_dim != encoder.feature_dim:
-        raise ValueError("anchor projection does not match encoder output")
+@dataclass
+class SceneModel:
+    """The network that training optimizes and a checkpoint holds: the
+    sparse encoder, the prototype bank whose hull the features are
+    projected onto (None: no hull) and the anchor table. ValueError unless
+    the bank, if any, and the anchors read the encoder's width."""
 
+    encoder: SparseEncoder
+    bank: PrototypeBank | None
+    table: AnchorTable
 
-def scene_gradients(scene: PointCloud, encoder: SparseEncoder, bank: PrototypeBank | None,
-                    table: AnchorTable) -> tuple:
-    """The training step on one labeled scene: (loss, grads), grads keyed
-    like the "<group>.<name>" parameters that train optimizes. A bank that
-    is not None projects the features onto its hull. Only points labeled
-    >= 0 are scored (ValueError when there are none); background points get
-    zero gradient rows. The caller checks that the loss is finite."""
-    feats = encoder.forward(scene)
-    projected = feats if bank is None else bank.project(feats)
-    labeled = scene.labels >= 0
-    loss, d_labeled, table_grads = contrastive_loss(projected[labeled], scene.labels[labeled],
-                                                    table)
-    d_feats = np.zeros_like(projected)
-    d_feats[labeled] = d_labeled
-    d_feats, bank_grads = (d_feats, None) if bank is None else bank.backward(d_feats)
-    return loss, _prefixed(encoder=encoder.backward(d_feats), bank=bank_grads,
-                           anchors=table_grads)
+    def __post_init__(self):
+        if self.bank is not None and self.bank.feature_dim != self.encoder.feature_dim:
+            raise ValueError("bank feature dim does not match encoder output")
+        if self.table.feature_dim != self.encoder.feature_dim:
+            raise ValueError("anchor projection does not match encoder output")
+
+    def arrays(self) -> dict:
+        """Every array a checkpoint holds, by "<group>.<name>", in payload
+        order; the frozen embeddings go ahead of the trained projection."""
+        return _prefixed(encoder=self.encoder.parameters(),
+                         bank=None if self.bank is None else self.bank.parameters(),
+                         anchors={"embeddings": self.table.embeddings,
+                                  **self.table.parameters()})
+
+    def parameters(self) -> dict:
+        """The trained arrays, every one but the embeddings; the keys of
+        gradients()."""
+        return {k: v for k, v in self.arrays().items() if k != "anchors.embeddings"}
+
+    def gradients(self, scene: PointCloud) -> tuple:
+        """The training step on one labeled scene: (loss, grads), grads keyed
+        like parameters(). A bank that is not None projects the features
+        onto its hull. Only points labeled >= 0 are scored (ValueError when
+        there are none); background points get zero gradient rows. The
+        caller checks that the loss is finite."""
+        bank = self.bank
+        feats = self.encoder.forward(scene)
+        projected = feats if bank is None else bank.project(feats)
+        labeled = scene.labels >= 0
+        loss, d_labeled, table_grads = contrastive_loss(projected[labeled],
+                                                        scene.labels[labeled], self.table)
+        d_feats = np.zeros_like(projected)
+        d_feats[labeled] = d_labeled
+        d_feats, bank_grads = (d_feats, None) if bank is None else bank.backward(d_feats)
+        return loss, _prefixed(encoder=self.encoder.backward(d_feats), bank=bank_grads,
+                               anchors=table_grads)
+
+    def infer_voxels(self, cloud, temperature: float = 1.0) -> tuple:
+        """Per-voxel class distributions for an unlabeled scene: a (V, C)
+        array and the (N,) index of each point's voxel row. Points in a
+        voxel share its feature, so each point's distribution is its voxel's
+        row.
+
+        The hull and the anchors read each block of the encoder's last layer
+        as the block pipeline makes it (see encoder.py), so neither a whole
+        layer nor a (V, K) hull temporary is ever built. A block shorter
+        than BLOCK_ROWS is read padded to BLOCK_ROWS with zero rows, because
+        a matrix product with few rows may sum in another order. So no row
+        depends on where the blocks are cut.
+        """
+        bank, table = self.bank, self.table
+
+        def readout(block):
+            n = len(block)
+            if n < BLOCK_ROWS:
+                block = np.concatenate([block, np.zeros((BLOCK_ROWS - n, block.shape[1]),
+                                                        dtype=block.dtype)])
+            # centered readout: the prototype centroid is a constant that
+            # training uses as a class bias; see hull.py
+            projected = bank.project(block, centered=True) if bank is not None else block
+            return class_probs(projected, table, temperature=temperature)[:n]
+
+        grid = self.encoder.voxelize(cloud)
+        return self.encoder.forward_grid(grid, readout=readout), grid.point_to_voxel
 
 
 def train(
@@ -252,15 +302,14 @@ def train(
         raise ValueError("need at least two model classes")
     if max(models.clouds) >= table.num_classes or min(models.clouds) < 0:
         raise ValueError("anchor table does not cover all model classes")
-    _check_parts(encoder, bank, table)
+    # the widths are checked before use_dcr leaves the bank out
+    model = SceneModel(encoder, bank, table)
     if not config.use_dcr:
-        bank = None
+        model.bank = None
     elif bank is None:
         raise ValueError("use_dcr requires a prototype bank")
 
-    params = _prefixed(encoder=encoder.parameters(),
-                       bank=None if bank is None else bank.parameters(),
-                       anchors=table.parameters())
+    params = model.parameters()
     opt = Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2, eps=config.eps)
 
     epoch_losses = []
@@ -271,7 +320,7 @@ def train(
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, epoch, step]))
             scene = compose_step_scene(models, augment, rng, xy_bounds=xy_bounds,
                                        floor_z=floor_z, floor_percentile=floor_percentile)
-            loss, grads = scene_gradients(scene, encoder, bank, table)
+            loss, grads = model.gradients(scene)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {epoch} step {step}")
             step_losses.append(loss)
@@ -288,39 +337,3 @@ def train(
             log_file.write(f"{epoch} {epoch_loss:.17g} {wall:.3f}\n")
             log_file.flush()
     return epoch_losses
-
-
-def infer_voxels(
-    cloud,
-    encoder: SparseEncoder,
-    bank: PrototypeBank | None,
-    table: AnchorTable,
-    temperature: float = 1.0,
-) -> tuple:
-    """Per-voxel class distributions for an unlabeled scene: a (V, C) array
-    and the (N,) index of each point's voxel row. Points in a voxel share
-    its feature, so each point's distribution is its voxel's row.
-
-    The hull and the anchors read each block of the encoder's last layer as
-    the block pipeline makes it (see encoder.py), so neither a whole layer
-    nor a (V, K) hull temporary is ever built. Every step works row by row,
-    and the rows equal one unblocked pass bit for bit.
-    """
-    _check_parts(encoder, bank, table)
-
-    def readout(block):
-        # centered readout: the prototype centroid is a constant that
-        # training uses as a class bias; see hull.py
-        projected = bank.project(block, centered=True) if bank is not None else block
-        return class_probs(projected, table, temperature=temperature)
-
-    grid = encoder.voxelize(cloud)
-    return encoder.forward_grid(grid, readout=readout), grid.point_to_voxel
-
-
-def infer_scene(cloud, encoder: SparseEncoder, bank: PrototypeBank | None, table: AnchorTable,
-                temperature: float = 1.0) -> np.ndarray:
-    """Per-point class distributions for an unlabeled scene, (N, C): each
-    point's row of infer_voxels."""
-    probs, point_to_voxel = infer_voxels(cloud, encoder, bank, table, temperature)
-    return probs[point_to_voxel]

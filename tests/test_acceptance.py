@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from test_metrics import ap_naive_tie_groups, iou_confusion_oracle
+from test_objective import infer_points
 
 from scenehull import geometry, toydata
 from scenehull.anchors import AnchorTable, read_embedding_file
@@ -33,9 +34,9 @@ from scenehull.hull import PrototypeBank, coefficient_entropy
 from scenehull.metrics import average_precision, evaluate_salient, mean_iou
 from scenehull.objective import (
     ModelSet,
+    SceneModel,
     TrainConfig,
     compose_step_scene,
-    infer_scene,
     train,
 )
 from scenehull.scene import AugmentConfig
@@ -273,7 +274,7 @@ def test_criterion_6_toy_end_to_end(e2e):
 # 7. Hull regularization helps under test-time shift (directional)
 # ---------------------------------------------------------------------------
 
-def _shifted_amap(models, table, encoder, bank, seed, n_scenes=8):
+def _shifted_amap(models, model, seed, n_scenes=8):
     probs, gts = [], []
     for k in range(n_scenes):
         rng = np.random.default_rng(np.random.SeedSequence([7777, seed, k]))
@@ -281,7 +282,7 @@ def _shifted_amap(models, table, encoder, bank, seed, n_scenes=8):
                                    xy_bounds=XY_BOUNDS)
         jittered = scene.with_positions(
             scene.positions + rng.normal(0.0, 0.01, scene.positions.shape))
-        probs.append(infer_scene(jittered, encoder, bank, table))
+        probs.append(infer_points(model, jittered))
         gts.append(scene.labels)
     rep = evaluate_salient(np.concatenate(probs), np.concatenate(gts),
                            toydata.TOY_FOREGROUND)
@@ -308,13 +309,13 @@ def _train_arm(models, seed, use_dcr, cfg_json):
     # the shift: no anchor-crop during training, crop + jitter only at test
     train(models, table, encoder, bank, cfg,
           augment=AugmentConfig(crop_prob=0.0), xy_bounds=XY_BOUNDS)
-    return table, encoder, bank
+    return SceneModel(encoder, bank, table)
 
 
 def _arm_amap(models, cfg_json, job):
     """Shifted AmAP of the arm that job = (seed, use_dcr) trains."""
     seed, use_dcr = job
-    return _shifted_amap(models, *_train_arm(models, seed, use_dcr, cfg_json), seed)
+    return _shifted_amap(models, _train_arm(models, seed, use_dcr, cfg_json), seed)
 
 
 @pytest.mark.slow
@@ -413,8 +414,8 @@ def test_criterion_9_determinism(toy_dir, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_10_zero_shot(toy_dir, e2e):
-    ck = load_checkpoint(e2e["checkpoint"])
-    table = ck.table
+    model, _ = load_checkpoint(e2e["checkpoint"])
+    table = model.table
     vectors = read_embedding_file(toy_dir / "embeddings.txt", {"ovoid"})
     new_id = table.add_class("ovoid", vectors["ovoid"])
 
@@ -430,7 +431,7 @@ def test_criterion_10_zero_shot(toy_dir, e2e):
                                   (box_cloud, 1)], AugmentConfig(), rng,
                            xy_bounds=XY_BOUNDS)
 
-    probs = infer_scene(scene, ck.encoder, ck.bank, table)
+    probs = infer_points(model, scene)
     rows_ok = probs.shape == (len(scene), table.num_classes) and \
         np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
     pred = probs.argmax(axis=1)

@@ -10,9 +10,10 @@ from scenehull.anchors import AnchorTable
 from scenehull.checkpoint import load_checkpoint, save_checkpoint
 from scenehull.encoder import SparseEncoder
 from scenehull.hull import PrototypeBank
+from scenehull.objective import SceneModel
 
 
-def make_state(seed=0, with_bank=True):
+def make_model(seed=0, with_bank=True):
     rng = np.random.default_rng(seed)
     encoder = SparseEncoder.create(widths=(5, 7), seed=seed, voxel_size=0.04)
     bank = None
@@ -21,15 +22,16 @@ def make_state(seed=0, with_bank=True):
                                     attention_dim=3, inv_temperature=0.8, seed=seed)
     table = AnchorTable(["a", "b", "night stand"], rng.normal(size=(3, 6)),
                         rng.normal(size=(6, 7)))
-    return encoder, bank, table
+    return SceneModel(encoder, bank, table)
 
 
 class TestRoundTrip:
     def test_arrays_bit_exact(self, tmp_path):
-        encoder, bank, table = make_state()
+        model = make_model()
+        encoder, bank, table = model.encoder, model.bank, model.table
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table, meta={"note": "x"})
-        ck = load_checkpoint(path)
+        save_checkpoint(path, model, meta={"note": "x"})
+        ck, meta = load_checkpoint(path)
         for a, b in zip(encoder.layers, ck.encoder.layers):
             np.testing.assert_array_equal(a.weight, b.weight)
             np.testing.assert_array_equal(a.bias, b.bias)
@@ -41,42 +43,39 @@ class TestRoundTrip:
         np.testing.assert_array_equal(table.w_proj, ck.table.w_proj)
         assert ck.table.class_names == table.class_names
         assert ck.encoder.voxel_size == encoder.voxel_size
-        assert ck.meta == {"note": "x"}
+        assert meta == {"note": "x"}
 
     def test_save_load_save_identical_bytes(self, tmp_path):
-        encoder, bank, table = make_state(seed=1)
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_checkpoint(p1, encoder, bank, table)
-        ck = load_checkpoint(p1)
-        save_checkpoint(p2, ck.encoder, ck.bank, ck.table, meta=ck.meta)
+        save_checkpoint(p1, make_model(seed=1))
+        save_checkpoint(p2, *load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_centered_readout_bit_exact(self, tmp_path):
         # the centroid is derived from the saved prototypes; no extra state
-        encoder, bank, table = make_state(seed=6)
+        model = make_model(seed=6)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
-        ck = load_checkpoint(path)
+        save_checkpoint(path, model)
+        ck, _ = load_checkpoint(path)
         x = np.random.default_rng(7).normal(size=(10, 7))
-        np.testing.assert_array_equal(bank.project(x, centered=True),
+        np.testing.assert_array_equal(model.bank.project(x, centered=True),
                                       ck.bank.project(x, centered=True))
 
     def test_without_bank(self, tmp_path):
-        encoder, _, table = make_state(seed=2, with_bank=False)
         path = tmp_path / "nobank.bin"
-        save_checkpoint(path, encoder, None, table)
-        ck = load_checkpoint(path)
+        save_checkpoint(path, make_model(seed=2, with_bank=False))
+        ck, _ = load_checkpoint(path)
         assert ck.bank is None
 
     def test_loaded_encoder_runs(self, tmp_path):
         from scenehull.geometry import PointCloud
 
-        encoder, bank, table = make_state(seed=3)
+        model = make_model(seed=3)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
-        ck = load_checkpoint(path)
+        save_checkpoint(path, model)
+        ck, _ = load_checkpoint(path)
         pc = PointCloud(np.random.default_rng(4).uniform(0, 0.5, size=(20, 3)))
-        np.testing.assert_array_equal(encoder.forward(pc), ck.encoder.forward(pc))
+        np.testing.assert_array_equal(model.encoder.forward(pc), ck.encoder.forward(pc))
 
 
 class TestGuards:
@@ -87,9 +86,8 @@ class TestGuards:
             load_checkpoint(path)
 
     def test_truncated_payload(self, tmp_path):
-        encoder, bank, table = make_state(seed=5)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=5))
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(OSError, match="truncated"):
@@ -99,18 +97,16 @@ class TestGuards:
     def test_shape_beyond_the_payload_is_truncation(self, tmp_path, shape):
         # sizes are Python ints: [2**62] used to overflow the read, and
         # [2**40, 2**30] to wrap np.prod to 0
-        encoder, bank, table = make_state(seed=5)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=5))
         self.rewrite_header(path, lambda header: header["arrays"][0].update(shape=shape))
         with pytest.raises(OSError, match=re.escape(
                 f"{path}: truncated array encoder.layers.0.weight")):
             load_checkpoint(path)
 
     def test_bytes_after_the_last_array(self, tmp_path):
-        encoder, bank, table = make_state(seed=5)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=5))
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(OSError, match=re.escape(f"{path}: 4 bytes after the last array")):
             load_checkpoint(path)
@@ -119,9 +115,8 @@ class TestGuards:
                                       "anchors.w_proj"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_array_named(self, tmp_path, name, value):
-        encoder, bank, table = make_state(seed=5)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=5))
         with open(path, "rb") as fh:
             magic, line, payload = fh.readline(), fh.readline(), fh.read()
         offset = 0
@@ -137,9 +132,8 @@ class TestGuards:
     @pytest.mark.parametrize("dtype", [">f8", ">f4"])
     def test_big_endian_dtype_named(self, tmp_path, dtype):
         # the payload is little-endian: >f8 once loaded it byte-swapped
-        encoder, bank, table = make_state(seed=5)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=5))
         self.rewrite_header(path, lambda header: self.entry(header, "bank.w_key").update(
             dtype=dtype))
         message = f"{path}: array bank.w_key has big-endian dtype '{dtype}'"
@@ -147,18 +141,16 @@ class TestGuards:
             load_checkpoint(path)
 
     def test_header_names_little_endian_dtypes(self, tmp_path):
-        encoder, bank, table = make_state(seed=5)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=5))
         with open(path, "rb") as fh:
             fh.readline()
             assert {e["dtype"] for e in json.loads(fh.readline())["arrays"]} == {"<f8"}
 
     def test_arrays_out_of_order(self, tmp_path):
         # each name keeps its shape, so every array would read the wrong bytes
-        encoder, bank, table = make_state(seed=5)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=5))
 
         def swap(header):
             arrays = header["arrays"]
@@ -170,9 +162,8 @@ class TestGuards:
 
     def test_missing_array_named(self, tmp_path):
         # drop bank.w_key from both the header's directory and the payload
-        encoder, bank, table = make_state(seed=8)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=8))
         with open(path, "rb") as fh:
             magic = fh.readline()
             header = json.loads(fh.readline())
@@ -195,9 +186,8 @@ class TestGuards:
         "anchors.class_names", "anchors.normalize",
         "arrays[0].name", "arrays[0].dtype", "arrays[0].shape"])
     def test_missing_header_key_named(self, tmp_path, key):
-        encoder, bank, table = make_state(seed=9)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=9))
         with open(path, "rb") as fh:
             magic = fh.readline()
             header = json.loads(fh.readline())
@@ -239,9 +229,8 @@ class TestGuards:
         # was read, naming neither the file nor the key
         ("encoder.num_layers", 0), ("encoder.voxel_size", -0.05), ("encoder.voxel_size", 0)])
     def test_wrong_header_type_named(self, tmp_path, key, value):
-        encoder, bank, table = make_state(seed=10)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=10))
 
         def edit(header):
             section, _, leaf = key.rpartition(".")
@@ -258,6 +247,18 @@ class TestGuards:
         with pytest.raises(ValueError, match=re.escape(f"{where} must be")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("bank.inv_temperature", -1, "inverse temperature must be finite and nonnegative"),
+        ("anchors.class_names", ["a", "a", "night stand"], "class names must be unique")])
+    def test_refused_header_value_names_the_file(self, tmp_path, key, value, message):
+        # the schema passes both; the model the header describes refuses them
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, make_model(seed=12))
+        section, _, leaf = key.partition(".")
+        self.rewrite_header(path, lambda header: header[section].update({leaf: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("name, shape, expected", [
         # same byte counts as saved, so the payload still reads through
         ("encoder.layers.1.weight", [27, 7, 5], "(27, 5, *)"),
@@ -267,9 +268,8 @@ class TestGuards:
         ("anchors.embeddings", [6, 3], "(3, *)"),
         ("anchors.w_proj", [7, 6], "(6, 7)")])
     def test_array_shape_disagreeing_with_header_named(self, tmp_path, name, shape, expected):
-        encoder, bank, table = make_state(seed=11)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, encoder, bank, table)
+        save_checkpoint(path, make_model(seed=11))
 
         def edit(header):
             self.entry(header, name)["shape"] = shape

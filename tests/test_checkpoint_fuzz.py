@@ -16,6 +16,7 @@ from scenehull.checkpoint import save_checkpoint
 from scenehull.cli import main
 from scenehull.encoder import SparseEncoder
 from scenehull.hull import PrototypeBank
+from scenehull.objective import SceneModel
 
 CASES = 200
 SHAPES = [[0], [], [1], [0, 5], [2**62], [2**63], [2**64], [2**33], [2**40, 2**30],
@@ -32,7 +33,7 @@ def saved(tmp_path_factory):
     encoder = SparseEncoder.create(widths=(3, 4), voxel_size=0.1, seed=0)
     bank = PrototypeBank.create(num_prototypes=6, feature_dim=4, attention_dim=2, seed=1)
     table = AnchorTable(["a", "b"], rng.normal(size=(2, 3)), rng.normal(size=(3, 4)))
-    save_checkpoint(path / "ck.bin", encoder, bank, table)
+    save_checkpoint(path / "ck.bin", SceneModel(encoder, bank, table))
     np.savetxt(path / "scene.txt", rng.uniform(0.0, 0.5, size=(20, 3)))
     with open(path / "ck.bin", "rb") as fh:
         magic, header, payload = fh.readline(), json.loads(fh.readline()), fh.read()

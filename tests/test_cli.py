@@ -445,7 +445,7 @@ class TestTrain:
         cfg_path = toy_dir / "quick_train.json"
         out0 = tmp_path / "zero"
         assert run_cli(["train", "--config", cfg_path, "--epochs", 0, "-o", out0]) == 0
-        ck = load_checkpoint(out0 / "checkpoint.bin")
+        ck, _ = load_checkpoint(out0 / "checkpoint.bin")
 
         from scenehull.encoder import SparseEncoder
         cfg = json.loads(cfg_path.read_text())
@@ -991,7 +991,7 @@ class TestInferEval:
                                                             tmp_path):
         from scenehull.checkpoint import load_checkpoint
         from scenehull.geometry import load_points
-        from scenehull.objective import infer_scene
+        from test_objective import infer_points
 
         scenes = tmp_path / "scenes"
         assert run_cli(["simulate", "--manifest", toy_dir / "manifest.json",
@@ -1000,9 +1000,8 @@ class TestInferEval:
         assert run_cli(["infer", "--checkpoint", trained_run / "checkpoint.bin",
                         "--scene", scenes / "scene_000.txt", "--temperature", 0.01,
                         "-o", probs_path]) == 0
-        ckpt = load_checkpoint(trained_run / "checkpoint.bin")
-        probs = infer_scene(load_points(scenes / "scene_000.txt"), ckpt.encoder,
-                            ckpt.bank, ckpt.table, temperature=0.01)
+        model, _ = load_checkpoint(trained_run / "checkpoint.bin")
+        probs = infer_points(model, load_points(scenes / "scene_000.txt"), temperature=0.01)
         expected = "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in probs)
         assert probs_path.read_text() == expected
 

@@ -1,7 +1,11 @@
 """Contrastive loss, inference rule, and the training loop."""
 
+import dataclasses
+import importlib
+import inspect
 import io
 import math
+import pkgutil
 import tracemalloc
 import warnings
 
@@ -18,19 +22,24 @@ from scenehull.objective import (
     Adam,
     ModelSet,
     TrainConfig,
+    SceneModel,
     TrainingDiverged,
-    _prefixed,
     class_probs,
     compose_step_scene,
     contrastive_loss,
-    infer_scene,
-    infer_voxels,
-    scene_gradients,
     train,
 )
 from scenehull.scene import AugmentConfig
+import scenehull
 from scenehull import toydata
 from test_encoder import floor_coords
+
+
+def infer_points(model, cloud, temperature=1.0):
+    """Per-point class distributions, (N, C): each point's row of
+    model.infer_voxels."""
+    probs, point_to_voxel = model.infer_voxels(cloud, temperature)
+    return probs[point_to_voxel]
 
 
 def identity_table(c, d, names=None):
@@ -332,8 +341,8 @@ class TestTrain:
 
 
 class TestSceneGradients:
-    """scene_gradients is the step that train runs. gradcheck checks it on
-    scenes whose points are all labeled; this checks the background mask."""
+    """SceneModel.gradients is the step that train runs. gradcheck checks it
+    on scenes whose points are all labeled; this checks the background mask."""
 
     @pytest.mark.parametrize("with_bank", [True, False])
     def test_background_points_match_finite_differences(self, with_bank):
@@ -354,11 +363,10 @@ class TestSceneGradients:
             projected = bank.project(feats) if with_bank else feats
             return contrastive_loss(projected[labeled], labels[labeled], table)[0]
 
-        loss, grads = scene_gradients(scene, encoder, bank, table)
+        model = SceneModel(encoder, bank, table)
+        loss, grads = model.gradients(scene)
         assert loss == scalar()
-        params = _prefixed(encoder=encoder.parameters(),
-                           bank=bank.parameters() if with_bank else None,
-                           anchors=table.parameters())
+        params = model.parameters()
         assert set(grads) == set(params)
         for name, param in params.items():
             result = compare(name, grads[name], numeric_gradient(scalar, param))
@@ -369,80 +377,79 @@ class TestSceneGradients:
         table = AnchorTable(["a", "b"], np.eye(2, 4), np.eye(4, 3))
         scene = PointCloud(np.zeros((3, 3)), np.full(3, -1))
         with pytest.raises(ValueError, match="no labeled points"):
-            scene_gradients(scene, encoder, None, table)
+            SceneModel(encoder, None, table).gradients(scene)
 
 
 class TestInferScene:
-    def trained_pieces(self):
+    def trained_model(self):
         models, table, encoder, bank = TestTrain().small_setup(seed=6)
         cfg = TrainConfig(epochs=2, steps_per_epoch=2, lr=1e-3, seed=6)
         train(models, table, encoder, bank, cfg, augment=AugmentConfig(),
               xy_bounds=((0, 0), (2, 2)))
-        return models, table, encoder, bank
+        return SceneModel(encoder, bank, table)
 
     def test_rows_sum_to_one(self):
-        models, table, encoder, bank = self.trained_pieces()
+        model = self.trained_model()
         cloud = PointCloud(np.random.default_rng(7).uniform(0, 1, size=(64, 3)))
-        probs = infer_scene(cloud, encoder, bank, table)
+        probs = infer_points(model, cloud)
         assert probs.shape == (64, 3)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_same_voxel_same_row(self):
-        models, table, encoder, bank = self.trained_pieces()
+        model = self.trained_model()
         cloud = PointCloud(np.array([[0.01, 0.01, 0.01], [0.02, 0.02, 0.02],
                                      [0.9, 0.9, 0.9]]))
-        probs = infer_scene(cloud, encoder, bank, table)
+        probs = infer_points(model, cloud)
         np.testing.assert_array_equal(probs[0], probs[1])
 
     def test_zero_shot_extension_shape(self):
-        models, table, encoder, bank = self.trained_pieces()
-        c_before = table.num_classes
-        table.add_class("newthing", np.random.default_rng(8).normal(size=table.embedding_dim))
+        model = self.trained_model()
+        c_before = model.table.num_classes
+        model.table.add_class("newthing",
+                              np.random.default_rng(8).normal(size=model.table.embedding_dim))
         cloud = PointCloud(np.random.default_rng(9).uniform(0, 1, size=(32, 3)))
-        probs = infer_scene(cloud, encoder, bank, table)
+        probs = infer_points(model, cloud)
         assert probs.shape == (32, c_before + 1)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_no_prototype_preference_gives_no_class_preference(self):
         # a zero key map weighs every prototype equally; the centered readout
         # then sits on the origin, where every anchor scores zero
-        models, table, encoder, bank = self.trained_pieces()
-        bank.w_key[:] = 0.0
+        model = self.trained_model()
+        model.bank.w_key[:] = 0.0
         cloud = PointCloud(np.random.default_rng(11).uniform(0, 1, size=(16, 3)))
-        probs = infer_scene(cloud, encoder, bank, table)
-        np.testing.assert_allclose(probs, 1.0 / table.num_classes, atol=1e-12)
+        probs = infer_points(model, cloud)
+        np.testing.assert_allclose(probs, 1.0 / model.table.num_classes, atol=1e-12)
 
     def test_readout_ignores_where_the_hull_sits(self):
         # moving every prototype by one vector changes neither the
         # coefficients nor the centered readout
-        models, table, encoder, bank = self.trained_pieces()
+        model = self.trained_model()
         cloud = PointCloud(np.random.default_rng(12).uniform(0, 1, size=(32, 3)))
-        before = infer_scene(cloud, encoder, bank, table)
-        bank.prototypes += np.random.default_rng(13).normal(size=bank.feature_dim)
-        np.testing.assert_allclose(infer_scene(cloud, encoder, bank, table), before, atol=1e-10)
+        before = infer_points(model, cloud)
+        model.bank.prototypes += np.random.default_rng(13).normal(size=model.bank.feature_dim)
+        np.testing.assert_allclose(infer_points(model, cloud), before, atol=1e-10)
 
     def test_voxel_readout_equals_point_readout(self):
-        # infer_scene reads the hull and the anchors once per voxel; that must
-        # equal reading them once per point, bit for bit
-        models, table, encoder, bank = self.trained_pieces()
+        # infer_voxels reads the hull and the anchors once per voxel; that
+        # must equal reading them once per point, bit for bit
+        model = self.trained_model()
         cloud = PointCloud(np.random.default_rng(14).uniform(0, 0.3, size=(500, 3)))
-        assert encoder.voxelize(cloud).num_voxels < len(cloud) / 2
-        feats = encoder.forward(cloud)
+        assert model.encoder.voxelize(cloud).num_voxels < len(cloud) / 2
+        feats = model.encoder.forward(cloud)
         np.testing.assert_array_equal(
-            infer_scene(cloud, encoder, bank, table),
-            class_probs(bank.project(feats, centered=True), table))
-        np.testing.assert_array_equal(infer_scene(cloud, encoder, None, table),
-                                      class_probs(feats, table))
+            infer_points(model, cloud),
+            class_probs(model.bank.project(feats, centered=True), model.table))
+        np.testing.assert_array_equal(infer_points(dataclasses.replace(model, bank=None), cloud),
+                                      class_probs(feats, model.table))
 
     def test_no_labels_consumed(self):
-        models, table, encoder, bank = self.trained_pieces()
+        model = self.trained_model()
         pos = np.random.default_rng(10).uniform(0, 1, size=(16, 3))
         with_labels = PointCloud(pos, labels=np.zeros(16, dtype=int))
         without = PointCloud(pos.copy())
-        np.testing.assert_array_equal(
-            infer_scene(with_labels, encoder, bank, table),
-            infer_scene(without, encoder, bank, table),
-        )
+        np.testing.assert_array_equal(infer_points(model, with_labels),
+                                      infer_points(model, without))
 
 
 def distinct_voxel_cloud(num_voxels, voxel_size, seed, spacing=1):
@@ -456,11 +463,12 @@ def distinct_voxel_cloud(num_voxels, voxel_size, seed, spacing=1):
 
 
 class TestBlockedInferScene:
-    """infer_scene reads the hull and the anchors in blocks of BLOCK_ROWS
-    voxel rows; the rows must equal one unblocked pass bit for bit."""
+    """infer_voxels reads the hull and the anchors in blocks of BLOCK_ROWS
+    voxel rows, a short block padded with zero rows; no row may depend on
+    where the blocks are cut."""
 
     @staticmethod
-    def pieces(widths=(32, 64, 96), prototypes=128):
+    def model(widths=(32, 64, 96), prototypes=128):
         encoder = SparseEncoder.create(widths=widths, seed=3, voxel_size=0.05)
         d = encoder.feature_dim
         bank = PrototypeBank.create(num_prototypes=prototypes, feature_dim=d,
@@ -468,49 +476,68 @@ class TestBlockedInferScene:
         rng = np.random.default_rng(5)
         table = AnchorTable([f"c{i}" for i in range(5)], rng.normal(size=(5, 6)),
                             rng.normal(size=(6, d)))
-        return encoder, bank, table
+        return SceneModel(encoder, bank, table)
 
-    @pytest.mark.parametrize("num_voxels", [1, 2, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+    @staticmethod
+    def padded_readout(model, feats, first):
+        """The readout of (V, D) features in blocks cut after row `first`
+        and then every BLOCK_ROWS rows, each padded to BLOCK_ROWS rows."""
+        edges = sorted({0, *range(first, len(feats), BLOCK_ROWS), len(feats)})
+        probs = []
+        for lo, hi in zip(edges, edges[1:]):
+            block = np.zeros((BLOCK_ROWS, feats.shape[1]))
+            block[:hi - lo] = feats[lo:hi]
+            if model.bank is not None:
+                block = model.bank.project(block, centered=True)
+            probs.append(class_probs(block, model.table)[:hi - lo])
+        return np.concatenate(probs)
+
+    # 1026, 1038 and 1124 leave a last block of 2, 14 and 100 rows, which
+    # differed from one unpadded pass before the short block was padded
+    @pytest.mark.parametrize("num_voxels", [1, 2, BLOCK_ROWS, BLOCK_ROWS + 1, BLOCK_ROWS + 2,
+                                            1038, 1124, 2 * BLOCK_ROWS + 1, 2348, 2648])
     def test_blocked_equals_unblocked(self, num_voxels):
-        encoder, bank, table = self.pieces()
-        cloud = distinct_voxel_cloud(num_voxels, encoder.voxel_size, seed=num_voxels)
-        assert encoder.voxelize(cloud).num_voxels == num_voxels
-        feats = encoder.forward(cloud)
-        assert np.array_equal(infer_scene(cloud, encoder, bank, table),
-                              class_probs(bank.project(feats, centered=True), table))
-        assert np.array_equal(infer_scene(cloud, encoder, None, table), class_probs(feats, table))
+        model = self.model()
+        cloud = distinct_voxel_cloud(num_voxels, model.encoder.voxel_size, seed=num_voxels)
+        grid = model.encoder.voxelize(cloud)
+        assert grid.num_voxels == num_voxels
+        feats = model.encoder.forward_grid(grid)  # drained whole, no readout
+        for model in (model, dataclasses.replace(model, bank=None)):
+            probs, _ = model.infer_voxels(cloud)
+            for first in (1, 7, 333, 1000):
+                assert np.array_equal(probs, self.padded_readout(model, feats, first)), first
 
     def test_no_voxels_by_prototypes_array(self):
         # narrow features and isolated voxels keep everything but the hull
         # small, so a (V, K) float64 array would show in the traced peak; a
         # block's few (BLOCK_ROWS, K) softmax temporaries stay under it
-        encoder, bank, table = self.pieces(widths=(8, 16), prototypes=128)
-        cloud = distinct_voxel_cloud(16 * BLOCK_ROWS, encoder.voxel_size, seed=1, spacing=2)
-        num_voxels = encoder.voxelize(cloud).num_voxels
+        model = self.model(widths=(8, 16), prototypes=128)
+        cloud = distinct_voxel_cloud(16 * BLOCK_ROWS, model.encoder.voxel_size, seed=1, spacing=2)
+        num_voxels = model.encoder.voxelize(cloud).num_voxels
         assert num_voxels == 16 * BLOCK_ROWS
         tracemalloc.start()
         try:
-            infer_scene(cloud, encoder, bank, table)
+            infer_points(model, cloud)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < num_voxels * bank.num_prototypes * 8
+        assert peak < num_voxels * model.bank.num_prototypes * 8
 
 
 class TestStreamedInfer:
     def test_peak_below_one_whole_last_layer(self):
         # the conv stack streams into the readout: no (V, 96) layer exists
-        encoder, bank, table = TestBlockedInferScene.pieces()
+        model = TestBlockedInferScene.model()
         coords = floor_coords()
-        cloud = PointCloud((coords + 0.5) * encoder.voxel_size)
+        cloud = PointCloud((coords + 0.5) * model.encoder.voxel_size)
         tracemalloc.start()
         try:
-            probs, _ = infer_voxels(cloud, encoder, bank, table)
+            probs, _ = model.infer_voxels(cloud)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(probs) == len(coords)
-        assert peak < len(coords) * encoder.feature_dim * 8
+        assert peak < len(coords) * model.encoder.feature_dim * 8
 
 
 def crowded_voxel_cloud(num_voxels, voxel_size, seed, copies=3):
@@ -524,53 +551,80 @@ def crowded_voxel_cloud(num_voxels, voxel_size, seed, copies=3):
 
 
 class TestInferVoxels:
-    """infer_voxels returns the per-voxel rows and each point's voxel;
-    infer_scene is their gather."""
+    """infer_voxels returns the per-voxel rows and each point's voxel."""
 
     def test_shapes(self):
-        encoder, bank, table = TestBlockedInferScene.pieces()
-        cloud = crowded_voxel_cloud(40, encoder.voxel_size, seed=2)
-        probs, point_to_voxel = infer_voxels(cloud, encoder, bank, table)
-        assert probs.shape == (40, table.num_classes)
+        model = TestBlockedInferScene.model()
+        cloud = crowded_voxel_cloud(40, model.encoder.voxel_size, seed=2)
+        probs, point_to_voxel = model.infer_voxels(cloud)
+        assert probs.shape == (40, model.table.num_classes)
         assert point_to_voxel.shape == (len(cloud),) == (120,)
         assert np.array_equal(np.bincount(point_to_voxel), np.full(40, 3))
 
     @pytest.mark.parametrize("num_voxels", [1, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
     @pytest.mark.parametrize("with_bank", [True, False])
     def test_infer_scene_is_gather(self, num_voxels, with_bank):
-        encoder, bank, table = TestBlockedInferScene.pieces()
-        bank = bank if with_bank else None
-        cloud = crowded_voxel_cloud(num_voxels, encoder.voxel_size, seed=num_voxels)
-        probs, point_to_voxel = infer_voxels(cloud, encoder, bank, table, temperature=0.5)
+        # each point reads its voxel's row
+        model = TestBlockedInferScene.model()
+        if not with_bank:
+            model = dataclasses.replace(model, bank=None)
+        cloud = crowded_voxel_cloud(num_voxels, model.encoder.voxel_size, seed=num_voxels)
+        probs, point_to_voxel = model.infer_voxels(cloud, temperature=0.5)
         assert len(probs) == num_voxels
-        assert np.array_equal(infer_scene(cloud, encoder, bank, table, temperature=0.5),
+        assert np.array_equal(infer_points(model, cloud, temperature=0.5),
                               probs[point_to_voxel])
 
     @pytest.mark.parametrize("part, message", [
         ("bank", "bank feature dim does not match encoder output"),
         ("table", "anchor projection does not match encoder output")])
     def test_parts_must_read_the_encoder_width(self, part, message):
-        encoder, bank, table = TestBlockedInferScene.pieces(widths=(4, 8), prototypes=12)
+        model = TestBlockedInferScene.model(widths=(4, 8), prototypes=12)
+        encoder, bank, table = model.encoder, model.bank, model.table
         if part == "bank":
             bank = PrototypeBank.create(num_prototypes=12, feature_dim=6, attention_dim=4)
         else:
             table = AnchorTable(["a", "b"], np.eye(2, 6), np.eye(6))
         with pytest.raises(ValueError, match=message):
-            infer_voxels(PointCloud(np.zeros((1, 3))), encoder, bank, table)
+            SceneModel(encoder, bank, table)
 
     def test_points_of_a_voxel_write_identical_lines(self, tmp_path):
-        encoder, bank, table = TestBlockedInferScene.pieces()
-        save_checkpoint(tmp_path / "checkpoint.bin", encoder, bank, table)
-        save_points(tmp_path / "scene.txt", crowded_voxel_cloud(300, encoder.voxel_size, seed=8))
+        model = TestBlockedInferScene.model()
+        save_checkpoint(tmp_path / "checkpoint.bin", model)
+        save_points(tmp_path / "scene.txt",
+                    crowded_voxel_cloud(300, model.encoder.voxel_size, seed=8))
         cloud = load_points(tmp_path / "scene.txt")
         assert cli_main(["infer", "--checkpoint", str(tmp_path / "checkpoint.bin"),
                          "--scene", str(tmp_path / "scene.txt"),
                          "-o", str(tmp_path / "probs.txt")]) == 0
         lines = (tmp_path / "probs.txt").read_text().splitlines()
         assert len(lines) == len(cloud)
-        _, point_to_voxel = infer_voxels(cloud, encoder, bank, table)
+        _, point_to_voxel = model.infer_voxels(cloud)
         for voxel in range(300):
             assert len({lines[i] for i in np.flatnonzero(point_to_voxel == voxel)}) == 1
+
+
+def test_only_scene_model_takes_encoder_and_table():
+    # the network is one SceneModel; a definition that takes its parts
+    # apart is one more place that must know how they fit together
+    allowed = {
+        # kept for perfbench/workloads.py, which calls it positionally, and
+        # the tracer, which reads its config from args[4]
+        "scenehull.objective.train",
+    }
+    found = []
+    for info in pkgutil.iter_modules(scenehull.__path__):
+        module = importlib.import_module(f"scenehull.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found.append((f"{module.__name__}.{name}", obj))
+            elif inspect.isclass(obj) and obj is not SceneModel:
+                found += [(f"{module.__name__}.{name}.{attr}", fn)
+                          for attr, fn in vars(obj).items() if inspect.isfunction(fn)]
+    takers = {qualname for qualname, fn in found
+              if {"encoder", "table"} <= set(inspect.signature(fn).parameters)}
+    assert takers == allowed
 
 
 class TestComposeStepScene:

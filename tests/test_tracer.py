@@ -4,10 +4,11 @@ The tracer wraps encoder.sparse_conv_forward and, as soon as each call
 returns, counts its work from grid._neighbor_maps, grid.coords,
 grid.feats.dtype and the layer's weight. Its scene rows time
 scene.simulate_scene, objective.compose_step_scene and scene.resolve_overlap
-by name, and its training rows time SparseEncoder.backward,
-PrototypeBank.backward and Adam.step inside objective.train. A change that
-moves any of these zeroes the traced rows without failing a traced run;
-these tests fail instead.
+by name, its training rows time SparseEncoder.backward,
+PrototypeBank.backward and Adam.step inside objective.train, and its
+checkpoint rows time checkpoint.load_checkpoint and size the file its first
+argument names. A change that moves any of these zeroes the traced rows
+without failing a traced run; these tests fail instead.
 """
 
 import importlib
@@ -38,14 +39,16 @@ def test_traced_conv_counts_match_the_kernel_map():
     tracing = load_tracer()
     modules = traced_modules(tracing)
     widths = (32, 64, 96)
-    encoder, bank, table = test_objective.TestBlockedInferScene.pieces(widths=widths)
-    num_voxels = 3 * modules["encoder"].BLOCK_ROWS + 5
+    model = test_objective.TestBlockedInferScene.model(widths=widths)
+    encoder = model.encoder
+    block_rows = modules["encoder"].BLOCK_ROWS
+    num_voxels = 3 * block_rows + 5
     cloud = test_objective.distinct_voxel_cloud(num_voxels, encoder.voxel_size, seed=6)
     tracer = tracing.Tracer(modules, widths)
     tracer.install()
     try:
         with tracer.root(0):
-            modules["objective"].infer_voxels(cloud, encoder, bank, table)
+            model.infer_voxels(cloud)
     finally:
         tracer.uninstall()
     metrics = tracing.summarize(tracer, {0}, widths, False)["metrics"]
@@ -58,8 +61,9 @@ def test_traced_conv_counts_match_the_kernel_map():
     assert metrics["encoder.neighbors_per_voxel"][0] == pytest.approx(pairs / grid.num_voxels,
                                                                       rel=1e-12)
     assert metrics["encoder.voxels"][0] == grid.num_voxels
-    # three blocks of BLOCK_ROWS and a 5-row tail, one hull call each
-    assert metrics["hull.rows"][0] == grid.num_voxels / 4
+    # three blocks of BLOCK_ROWS and a 5-row tail, one hull call each; the
+    # tail is read padded to BLOCK_ROWS rows, which the hull computes too
+    assert metrics["hull.rows"][0] == block_rows
 
 
 def test_traced_scene_rows_are_read():
@@ -106,3 +110,21 @@ def test_traced_training_rows_are_read():
     for key in ("encoder.backward_ms", "hull.backward_ms", "objective.adam_step_ms",
                 "objective.train_self_ms_per_step"):
         assert 0.0 < metrics[key][0] < math.inf, key
+
+
+def test_traced_checkpoint_rows_are_read(tmp_path):
+    tracing = load_tracer()
+    modules = traced_modules(tracing)
+    path = tmp_path / "ck.bin"
+    modules["checkpoint"].save_checkpoint(path, test_objective.TestBlockedInferScene.model())
+    tracer = tracing.Tracer(modules, (32, 64, 96))
+    tracer.install()
+    try:
+        with tracer.root(0):
+            modules["checkpoint"].load_checkpoint(path)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.summarize(tracer, {0}, (32, 64, 96), False)["metrics"]
+
+    assert 0.0 < metrics["checkpoint.load_ms"][0] < math.inf
+    assert metrics["checkpoint.mb"][0] == pytest.approx(path.stat().st_size / 1e6, rel=1e-12)
