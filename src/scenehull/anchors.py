@@ -13,15 +13,6 @@ import numpy as np
 from .geometry import _open_text, _parse_lines
 
 
-class MissingTokenError(ValueError):
-    """A class name needs a token the embedding file does not provide."""
-
-    def __init__(self, class_name: str, token: str, path):
-        self.class_name = class_name
-        self.token = token
-        super().__init__(f"class {class_name!r}: token {token!r} not in {path}")
-
-
 def _name_tokens(name: str) -> list:
     tokens = name.lower().replace("_", " ").replace("-", " ").split()
     if not tokens:
@@ -134,7 +125,7 @@ def class_vectors(path, names) -> np.ndarray:
     """One embedding row per class name, (C, E), read from an embedding file.
 
     Multi-token names ("night stand") average their token vectors. A token
-    the file lacks raises MissingTokenError.
+    the file lacks raises ValueError.
     """
     names = list(names)
     if not names:
@@ -145,7 +136,7 @@ def class_vectors(path, names) -> np.ndarray:
     for name, tokens in zip(names, token_lists):
         for t in tokens:
             if t not in vectors:
-                raise MissingTokenError(name, t, path)
+                raise ValueError(f"class {name!r}: token {t!r} not in {path}")
         rows.append(np.mean([vectors[t] for t in tokens], axis=0))
     return np.asarray(rows, dtype=np.float64)
 

@@ -128,7 +128,7 @@ def load_checkpoint(path) -> tuple:
         return arrays[name]
 
     layers = []
-    width = None  # each layer reads the previous layer's output width
+    width = 1  # voxelize's feature width; each next layer reads the previous output
     for i in range(header["encoder"]["num_layers"]):
         weight = array(f"encoder.layers.{i}.weight", NUM_OFFSETS, width, None)
         width = weight.shape[2]

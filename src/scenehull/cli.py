@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 EXIT_OK = 0
@@ -30,10 +31,6 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
 
-class ConfigError(ValueError):
-    """Bad run configuration; maps to exit code 2."""
-
-
 def _load_json(path, where: str) -> dict:
     from .geometry import _open_text
 
@@ -41,9 +38,9 @@ def _load_json(path, where: str) -> dict:
         with _open_text(path) as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where}: invalid JSON in {path}: {exc}") from None
+        raise ValueError(f"{where}: invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: {path} must hold a JSON object")
+        raise ValueError(f"{where}: {path} must hold a JSON object")
     return data
 
 
@@ -54,9 +51,9 @@ def _log_config(label: str, resolved: dict) -> None:
 @contextlib.contextmanager
 def _run_directory(out_dir: Path):
     """Make out_dir and yield path(name), which gives out_dir / name and
-    notes it as written. On a ValueError (ConfigError is one) the noted
-    files go, and so do out_dir and its parents that this made, each only
-    when empty; a directory that was there before stays."""
+    notes it as written. On a ValueError the noted files go, and so do
+    out_dir and its parents that this made, each only when empty; a
+    directory that was there before stays."""
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -102,7 +99,7 @@ def load_manifest(path):
     try:
         manifest["_augment"] = AugmentConfig(**augment)
     except ValueError as exc:
-        raise ConfigError(f"manifest.augment: {exc}") from None
+        raise ValueError(f"manifest.augment: {exc}") from None
     manifest["_bounds"] = tuple(tuple(map(float, pair)) for pair in manifest["xy_bounds"])
     manifest["_base"] = str(Path(path).resolve().parent)
     return manifest
@@ -111,7 +108,7 @@ def load_manifest(path):
 def _manifest_models(manifest, points_per_model, seed):
     """The manifest's training library and its class names: each mesh
     presampled at points_per_model and scaled to its optional canonical
-    height, plus the background scans. ConfigError when points_per_model is
+    height, plus the background scans. ValueError when points_per_model is
     too few to anchor-crop, for a flat model with a height, and for a
     background with no points; callers make the run directory after."""
     import numpy as np
@@ -121,7 +118,7 @@ def _manifest_models(manifest, points_per_model, seed):
 
     crop_anchor_max = manifest["_augment"].crop_anchor_max
     if points_per_model < crop_anchor_max:
-        raise ConfigError(
+        raise ValueError(
             f"points_per_model {points_per_model} is below manifest.augment.crop_anchor_max "
             f"{crop_anchor_max}: the anchor crop needs that many points per model")
     base = Path(manifest["_base"])
@@ -137,7 +134,7 @@ def _manifest_models(manifest, points_per_model, seed):
             z = cloud.positions[:, 2]
             extent = float(z.max() - z.min())
             if extent <= 0:
-                raise ConfigError(f"model {entry['path']}: flat model cannot be height-normalized")
+                raise ValueError(f"model {entry['path']}: flat model cannot be height-normalized")
             cloud = geometry.scale(cloud, float(height) / extent)
         class_id = int(entry["class_id"])
         clouds.setdefault(class_id, []).append(cloud)
@@ -149,7 +146,7 @@ def _manifest_models(manifest, points_per_model, seed):
     for path in manifest["backgrounds"]:
         scan = geometry.load_points(base / path)
         if len(scan) == 0:
-            raise ConfigError(f"background {base / path}: no points")
+            raise ValueError(f"background {base / path}: no points")
         backgrounds.append(scan)
     return ModelSet(clouds, frozenset(negatives), backgrounds), names
 
@@ -191,6 +188,8 @@ _STRING_LIST = (lambda v: isinstance(v, list) and all(isinstance(w, str) for w i
                 "a list of strings")
 _OBJECT_LIST = (lambda v: isinstance(v, list) and all(isinstance(w, dict) for w in v),
                 "a list of objects")
+_NON_EMPTY_OBJECT_LIST = (lambda v: _OBJECT_LIST[0](v) and len(v) > 0,
+                          "a non-empty list of objects")
 _XY_BOUNDS = (lambda v: isinstance(v, list) and len(v) == 2 and all(_is_xy_pair(p) for p in v)
               and all(low <= high for low, high in zip(*v)),
               "[[xmin, ymin], [xmax, ymax]] of finite numbers, min <= max")
@@ -202,7 +201,7 @@ _REQUIRED = object()
 _UNSET = object()
 
 _MANIFEST_SCHEMA = {
-    "models": (_OBJECT_LIST, _REQUIRED),
+    "models": (_NON_EMPTY_OBJECT_LIST, _REQUIRED),
     "seed": (_NON_NEGATIVE_INT, 0),
     "num_scenes": (_NON_NEGATIVE_INT, 1),
     "points_per_model": (_SAMPLE_COUNT, 8196),
@@ -245,18 +244,18 @@ def _dataclass_schema(cls) -> dict:
 
 
 def _parse(data: dict, schema: dict, where: str) -> dict:
-    """A new dict of data with the defaults of schema filled in; ConfigError
+    """A new dict of data with the defaults of schema filled in; ValueError
     for an unknown key, a missing required key or a value of the wrong type."""
     unknown = set(data) - set(schema)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
     missing = [key for key, (_, default) in schema.items()
                if default is _REQUIRED and key not in data]
     if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        raise ValueError(f"{where}: missing keys {sorted(missing)}")
     for key, ((valid, kind), _) in schema.items():
         if key in data and not valid(data[key]):
-            raise ConfigError(f"{where}: {key} must be {kind}, got {data[key]!r}")
+            raise ValueError(f"{where}: {key} must be {kind}, got {data[key]!r}")
     resolved = {key: default for key, (_, default) in schema.items()
                 if default is not _REQUIRED and default is not _UNSET}
     resolved.update(data)
@@ -279,7 +278,10 @@ def _read_class_list(path):
     with _open_text(path) as fh:
         names = [line.strip() for line in fh if line.strip()]
     if not names:
-        raise ConfigError(f"{path}: empty class list")
+        raise ValueError(f"{path}: empty class list")
+    repeated = [name for name, count in Counter(names).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{path}: class {repeated[0]} is listed twice")
     return names
 
 
@@ -390,7 +392,7 @@ def cmd_train(args) -> int:
     try:
         train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig)})
     except ValueError as exc:
-        raise ConfigError(f"train config: {exc}") from None
+        raise ValueError(f"train config: {exc}") from None
     manifest = load_manifest(base / cfg["manifest"])
     points = cfg.get("points_per_model", manifest["points_per_model"])
     class_names = _read_class_list(base / cfg["classes"])
@@ -430,7 +432,7 @@ def cmd_infer(args) -> int:
                 "embeddings": str(args.embeddings) if args.embeddings else None}
     _log_config("infer", resolved)
     if args.extend_classes and not args.embeddings:
-        raise ConfigError("--extend-classes requires --embeddings")
+        raise ValueError("--extend-classes requires --embeddings")
 
     model, _ = load_checkpoint(args.checkpoint)
     if args.extend_classes:
@@ -441,7 +443,7 @@ def cmd_infer(args) -> int:
 
     cloud = geometry.load_points(args.scene)
     if len(cloud) == 0:
-        raise ConfigError(f"scene {args.scene}: no points")
+        raise ValueError(f"scene {args.scene}: no points")
     probs, point_to_voxel = model.infer_voxels(cloud, temperature=args.temperature)
     geometry.save_probabilities(args.out, probs, order=point_to_voxel)
     classes_path = Path(args.out).with_suffix(".classes.txt")
@@ -463,15 +465,18 @@ def cmd_eval(args) -> int:
     probs = geometry.load_probabilities(args.probs)
     gt = geometry.load_points(args.gt)
     if gt.labels is None:
-        raise ConfigError(f"{args.gt}: ground-truth file has no labels")
+        raise ValueError(f"{args.gt}: ground-truth file has no labels")
     if len(gt) != len(probs):
-        raise ConfigError(
+        raise ValueError(
             f"{len(probs)} probability rows vs {len(gt)} ground-truth points")
 
     class_names = None
     classes_path = Path(args.probs).with_suffix(".classes.txt")
     if classes_path.exists():
         class_names = dict(enumerate(_read_class_list(classes_path)))
+        if len(class_names) != probs.shape[1]:
+            raise ValueError(f"{classes_path}: {len(class_names)} class names for "
+                             f"{probs.shape[1]} probability columns")
 
     foreground = args.foreground or list(range(probs.shape[1]))
     report = evaluate_salient(probs, gt.labels, foreground, class_names=class_names)
@@ -621,7 +626,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except ValueError as exc:  # ConfigError is one
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

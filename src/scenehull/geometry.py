@@ -34,10 +34,6 @@ MAX_SAMPLE_POINTS = (2**31 - 1) // OVERSAMPLE
 PAIR_PART = 65536
 
 
-class EmptyMeshError(ValueError):
-    """Mesh has no usable (non-degenerate) faces."""
-
-
 @dataclass
 class TriangleMesh:
     """Vertex/face surface representation; faces index into vertices."""
@@ -133,7 +129,7 @@ def _meaningful_lines(text):
 
 def load_mesh(path) -> TriangleMesh:
     """Read an ASCII OFF mesh, dropping degenerate (zero-area) faces;
-    EmptyMeshError when no face remains."""
+    ValueError when no face remains."""
     with _open_text(path) as fh:
         lines = list(_meaningful_lines(fh.read()))
     if not lines:
@@ -162,7 +158,7 @@ def load_mesh(path) -> TriangleMesh:
     mesh = TriangleMesh(vertices, faces)
     keep = triangle_areas(mesh) > DEGENERATE_AREA
     if not keep.any():
-        raise EmptyMeshError(f"{path}: no non-degenerate faces")
+        raise ValueError(f"{path}: no non-degenerate faces")
     return mesh if keep.all() else TriangleMesh(vertices, faces[keep])
 
 
@@ -349,11 +345,11 @@ def area_weighted_sample(mesh: TriangleMesh, m: int, rng: np.random.Generator) -
     if m < 1:
         raise ValueError("need at least one sample")
     if mesh.num_faces == 0:
-        raise EmptyMeshError("cannot sample an empty mesh")
+        raise ValueError("cannot sample an empty mesh")
     areas = triangle_areas(mesh)
     total = areas.sum()
     if total <= 0.0:
-        raise EmptyMeshError("mesh has zero total area")
+        raise ValueError("mesh has zero total area")
     cum = np.cumsum(areas)
     face_idx = np.searchsorted(cum, rng.random(m) * total, side="right")
     face_idx = np.minimum(face_idx, mesh.num_faces - 1)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from scenehull.anchors import AnchorTable, MissingTokenError, load_embeddings, read_embedding_file
+from scenehull.anchors import AnchorTable, load_embeddings, read_embedding_file
 from scenehull.toydata import write_embeddings
 
 
@@ -27,7 +27,8 @@ class TestLoadEmbeddings:
 
     def test_missing_token(self, tmp_path):
         path = write_file(tmp_path / "emb.txt", {"chair": [1.0, 2.0]})
-        with pytest.raises(MissingTokenError, match="bookshelf"):
+        message = f"class 'bookshelf': token 'bookshelf' not in {path}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_embeddings(path, ["chair", "bookshelf"])
 
     def test_multi_token_name_averaged(self, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from scenehull.anchors import AnchorTable
 from scenehull.checkpoint import load_checkpoint, save_checkpoint
-from scenehull.encoder import SparseEncoder
+from scenehull.encoder import ConvLayer, SparseEncoder
 from scenehull.hull import PrototypeBank
 from scenehull.objective import SceneModel
 
@@ -278,3 +278,16 @@ class TestGuards:
         with pytest.raises(ValueError, match=re.escape(f"array {name} has shape")) as err:
             load_checkpoint(path)
         assert str(err.value).endswith(f"expected {expected}")
+
+    def test_first_layer_must_read_the_voxel_feature_width(self, tmp_path):
+        # voxelize gives each voxel one feature; a first layer that reads
+        # two would load, then fail in infer naming no file
+        model = make_model(seed=13)
+        rng = np.random.default_rng(13)
+        model.encoder.layers[0] = ConvLayer(rng.normal(size=(27, 2, 5)), np.zeros(5))
+        path = tmp_path / "ck.bin"
+        save_checkpoint(path, model)
+        message = (f"{path}: array encoder.layers.0.weight has shape (27, 2, 5), "
+                   "expected (27, 1, *)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)

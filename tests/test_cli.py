@@ -237,8 +237,9 @@ class TestSimulate:
         # -1 is the background label
         ("models[2].class_id", -1,
          "manifest.models[2]: class_id must be a non-negative integer"),
+        ("models", [], "manifest: models must be a non-empty list of objects, got []"),
     ], ids=["num_scenes", "points_per_model", "points_per_model_ceiling", "xy_bounds",
-            "augment.scale_min", "seed", "models.class_id"])
+            "augment.scale_min", "seed", "models.class_id", "models"])
     def test_negative_num_scenes_config_error(self, toy_dir, tmp_path, capsys, field, value,
                                               message):
         data = json.loads((toy_dir / "manifest.json").read_text())
@@ -466,6 +467,16 @@ class TestTrain:
         assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "'bookshelf'" in err
+
+    def test_repeated_class_name_names_the_file(self, toy_dir, tmp_path, capsys):
+        classes = tmp_path / "classes.txt"
+        classes.write_text((toy_dir / "classes.txt").read_text() + "box\n")
+        path = write_train_config(toy_dir, tmp_path / "cfg.json", toy_dir / "manifest.json",
+                                  classes=str(classes))
+        assert run_cli(["train", "--config", path, "-o", tmp_path / "run"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[1:] == [f"config error: {classes}: class box is listed twice"]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("lr", float("inf")), ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0), ("lr", -1),
@@ -698,6 +709,36 @@ class TestInferEval:
         assert run_cli(["eval", "--probs", probs_path, "--gt", gt_path,
                         "-o", report]) == 0
         assert "amap 1" in (tmp_path / "rep.kv").read_text()
+
+    @staticmethod
+    def one_hot_eval(tmp_path, class_lines):
+        """eval of a 3-column one-hot probability file whose .classes.txt
+        holds class_lines, writing a report; returns the exit code."""
+        gt_path = tmp_path / "gt.txt"
+        gt_path.write_text("".join(f"{i * 0.1} 0 0 {lab}\n" for i, lab in enumerate([0, 1, 2])))
+        probs_path = tmp_path / "p.txt"
+        np.savetxt(probs_path, np.eye(3))
+        (tmp_path / "p.classes.txt").write_text("".join(f"{n}\n" for n in class_lines))
+        return run_cli(["eval", "--probs", probs_path, "--gt", gt_path,
+                        "-o", tmp_path / "rep.txt"])
+
+    @pytest.mark.parametrize("class_lines", [["a", "b"], ["a", "b", "c", "d"]],
+                             ids=["one_short", "one_long"])
+    def test_class_list_not_fitting_the_columns_exit_2(self, tmp_path, capsys, class_lines):
+        assert self.one_hot_eval(tmp_path, class_lines) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[1:] == [
+            f"config error: {tmp_path / 'p.classes.txt'}: {len(class_lines)} class names "
+            "for 3 probability columns"]
+        assert captured.out == ""
+        assert not (tmp_path / "rep.txt").exists() and not (tmp_path / "rep.kv").exists()
+
+    def test_class_list_naming_a_class_twice_exit_2(self, tmp_path, capsys):
+        assert self.one_hot_eval(tmp_path, ["a", "b", "a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[1:] == [
+            f"config error: {tmp_path / 'p.classes.txt'}: class a is listed twice"]
+        assert not (tmp_path / "rep.txt").exists()
 
     def test_length_mismatch_config_error(self, tmp_path):
         gt_path = tmp_path / "gt.txt"

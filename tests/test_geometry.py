@@ -13,7 +13,6 @@ from scipy.spatial import cKDTree
 
 from scenehull import geometry
 from scenehull.geometry import (
-    EmptyMeshError,
     PointCloud,
     TriangleMesh,
     area_weighted_sample,
@@ -90,7 +89,7 @@ class TestLoadMesh:
     def test_all_faces_degenerate(self, tmp_path):
         path = tmp_path / "flat.off"
         path.write_text("OFF\n3 1 0\n0 0 0\n0 0 0\n0 0 0\n3 0 1 2\n")
-        with pytest.raises(EmptyMeshError):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: no non-degenerate faces')}$"):
             load_mesh(path)
 
     def test_glued_header(self, tmp_path):
@@ -232,7 +231,7 @@ class TestAreaWeightedSample:
 
     def test_empty_mesh(self):
         mesh = TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3), dtype=int))
-        with pytest.raises(EmptyMeshError):
+        with pytest.raises(ValueError, match="^cannot sample an empty mesh$"):
             area_weighted_sample(mesh, 5, np.random.default_rng(0))
 
 

@@ -627,6 +627,18 @@ def test_only_scene_model_takes_encoder_and_table():
     assert takers == allowed
 
 
+def test_only_training_diverged_is_an_exception_class():
+    # the CLI maps failures to exit codes by ValueError, OSError, MemoryError
+    # and TrainingDiverged alone, so another class could only rename one
+    defined = []
+    for info in pkgutil.iter_modules(scenehull.__path__):
+        module = importlib.import_module(f"scenehull.{info.name}")
+        defined += [f"{module.__name__}.{name}" for name, obj in vars(module).items()
+                    if inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__]
+    assert defined == ["scenehull.objective.TrainingDiverged"]
+
+
 class TestComposeStepScene:
     def test_floor_z_sets_every_model_floor(self):
         models = toy_models()
